@@ -4,6 +4,7 @@
 #include <array>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <random>
@@ -12,6 +13,53 @@
 namespace aflow::arch {
 
 namespace {
+
+/// Max-tournament tree over vertex indices: leaf v holds v's key while v
+/// is in the set and a sentinel otherwise, and every inner node the larger
+/// of its children, so the root is the member with the highest gain, lowest
+/// index on ties. A key packs (gain, ~v) into one integer, so that order is
+/// a single branch-free comparison.
+class PickTree {
+ public:
+  explicit PickTree(int n) {
+    while (leaves_ < static_cast<size_t>(n)) leaves_ *= 2;
+    node_.assign(2 * leaves_, kEmpty);
+  }
+
+  /// Inserts v, or moves it to its new gain.
+  void update(int v, int gain) { set(v, key(v, gain)); }
+  void remove(int v) { set(v, kEmpty); }
+  /// The best member, or -1 when the set is empty.
+  int best() const {
+    return node_[1] == kEmpty
+               ? -1
+               : static_cast<int>(~static_cast<std::uint32_t>(node_[1]));
+  }
+
+ private:
+  static constexpr std::int64_t kEmpty =
+      std::numeric_limits<std::int64_t>::min();
+
+  static std::int64_t key(int v, int gain) {
+    return static_cast<std::int64_t>(gain) * (std::int64_t{1} << 32) +
+           ~static_cast<std::uint32_t>(v);
+  }
+
+  void set(int v, std::int64_t k) {
+    size_t i = leaves_ + static_cast<size_t>(v);
+    node_[i] = k;
+    // Stop at the first ancestor the change leaves as it was: everything
+    // above it is unchanged too.
+    for (i /= 2; i >= 1; i /= 2) {
+      const std::int64_t up = std::max(node_[2 * i], node_[2 * i + 1]);
+      if (up == node_[i]) break;
+      node_[i] = up;
+    }
+  }
+
+  size_t leaves_ = 1;
+  std::vector<std::int64_t> node_;
+};
 
 /// Classic FM pass machinery on a compact adjacency.
 class FmEngine {
@@ -67,10 +115,21 @@ class FmEngine {
 
   /// One FM pass: tentatively move every vertex once (best-gain first,
   /// balance permitting), then roll back to the best prefix.
+  ///
+  /// Each side's unlocked vertices sit in a PickTree keyed by (gain, lowest
+  /// index first), so a pick is the better of the two roots — the highest
+  /// gain, lowest index on ties, among the sides whose move keeps balance
+  /// (balance depends only on the side a vertex leaves). That is exactly
+  /// the vertex a scan over all n would pick, at O(log n) per gain change:
+  /// a pass costs O(m log n) instead of the scan's O(n^2).
   bool pass() {
     std::vector<char> locked(n_, 0);
     std::vector<int> gains(n_);
-    for (int v = 0; v < n_; ++v) gains[v] = gain(v);
+    std::array<PickTree, 2> trees{PickTree(n_), PickTree(n_)};
+    for (int v = 0; v < n_; ++v) {
+      gains[v] = gain(v);
+      trees[side_[v]].update(v, gains[v]);
+    }
     std::array<int, 2> count{0, 0};
     for (int v = 0; v < n_; ++v) count[side_[v]]++;
 
@@ -83,12 +142,15 @@ class FmEngine {
     for (int step = 0; step < n_; ++step) {
       // Highest-gain movable vertex whose move keeps balance.
       int pick = -1;
-      for (int v = 0; v < n_; ++v) {
-        if (locked[v]) continue;
-        if (count[1 - side_[v]] + 1 > max_side_) continue;
-        if (pick < 0 || gains[v] > gains[pick]) pick = v;
+      for (int from = 0; from < 2; ++from) {
+        if (count[1 - from] + 1 > max_side_) continue;
+        const int v = trees[from].best();
+        if (v >= 0 && (pick < 0 || gains[v] > gains[pick] ||
+                       (gains[v] == gains[pick] && v < pick)))
+          pick = v;
       }
       if (pick < 0) break;
+      trees[side_[pick]].remove(pick);
 
       delta += gains[pick];
       count[side_[pick]]--;
@@ -102,6 +164,7 @@ class FmEngine {
       for (int u : adj_[pick]) {
         if (locked[u]) continue;
         gains[u] += (side_[u] == side_[pick]) ? -2 : 2;
+        trees[side_[u]].update(u, gains[u]);
       }
       gains[pick] = -gains[pick];
 

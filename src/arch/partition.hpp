@@ -42,9 +42,10 @@ struct RegionPartitionOptions {
   /// Per-bisection side slack, as in fm_bipartition.
   double balance_tolerance = 0.1;
   /// Groups larger than this split by BFS layering instead of FM passes:
-  /// the quadratic FM pass is fine for island-sized groups but would make a
-  /// million-vertex first bisection take hours. BFS prefixes keep regions
-  /// connected-ish on mesh-like instances at O(group edges) per split.
+  /// up to 12 O(m log n) FM passes are fine for island-sized groups but
+  /// too slow for a million-vertex first bisection. BFS prefixes keep
+  /// regions connected-ish on mesh-like instances at O(group edges) per
+  /// split.
   int fm_threshold = 4096;
 };
 

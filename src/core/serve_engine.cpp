@@ -620,7 +620,7 @@ void ServeSession::cmd_solve(const std::vector<std::string>& t,
     // per-solver delta path (different backend name, different metrics).
     ShardOptions so;
     so.shards = static_cast<int>(std::min<long long>(shards, 1 << 20));
-    so.region_solver = tok_string(t, "--region-solver", "dinic");
+    so.region_solver = tok_string(t, "--region-solver", so.region_solver);
     so.num_threads = static_cast<int>(tok_ll(t, "--threads", 0));
     so.deterministic = engine_.options().deterministic;
     const ShardedSolver solver(so);

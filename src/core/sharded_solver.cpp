@@ -31,6 +31,19 @@ int local_id(const std::vector<int>& region_vertices, int v) {
   return static_cast<int>(it - region_vertices.begin());
 }
 
+/// Exact refinement: a budgeted warm push-relabel from the feasible flow in
+/// `r` (flow/residual.hpp PushRelabelWarm). `budget` is an upper bound on
+/// the max flow minus the value `r` already carries, so it covers all the
+/// flow still to add. Exactness does not rest on that argument: a pass
+/// that parks its source carries its own maximality certificate, and any
+/// other pass is checked by residual reachability and escalates to the
+/// cold flood on failure (SolveMetrics::warm_escalations).
+long long refine(flow::detail::Residual& r, int s, int t, double budget,
+                 const CancelToken& cancel, flow::SolveMetrics& metrics) {
+  const flow::detail::PushRelabelWarm plan{std::max(0.0, budget)};
+  return flow::detail::push_relabel_augment(r, s, t, cancel, &metrics, &plan);
+}
+
 } // namespace
 
 ShardedSolver::ShardedSolver(ShardOptions options)
@@ -82,7 +95,8 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::CsrGraph& g,
     rep.upper_bound = trivial_bound;
     const auto t0 = Clock::now();
     flow::detail::Residual r(g);
-    flow::detail::dinic_augment(r, s, t, rep.refine_operations, cancel);
+    rep.refine_operations =
+        refine(r, s, t, rep.upper_bound, cancel, result.metrics);
     rep.refine_seconds = seconds_since(t0);
     result.flow_value = r.carried_flow_at(s);
     result.edge_flow = r.carried_edge_flows();
@@ -302,12 +316,14 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::CsrGraph& g,
     // direct solve).
     r = flow::detail::Residual(g);
     rep.stitched_value = 0.0;
+    rep.stitch_dropped = true;
   }
   rep.stitch_seconds = seconds_since(stitch_t0);
 
   // --- Exact refinement on the full residual -----------------------------
   const auto refine_t0 = Clock::now();
-  flow::detail::dinic_augment(r, s, t, rep.refine_operations, cancel);
+  rep.refine_operations = refine(r, s, t, rep.upper_bound - rep.stitched_value,
+                                 cancel, result.metrics);
   rep.refine_seconds = seconds_since(refine_t0);
 
   result.flow_value = r.carried_flow_at(s);

@@ -3,10 +3,11 @@
 // worker pool -> boundary stitch -> conservation repair -> exact refinement
 // on the full residual, with a valid optimality bound reported at every
 // stage. The returned flow value is exactly the max flow: the refinement
-// pass augments the stitched feasible flow to maximality regardless of how
-// good the stitch was, so partition quality only moves work between the
-// parallel region stage and the sequential refinement stage, never
-// correctness.
+// pass (a warm push-relabel budgeted by upper_bound - stitched_value, with
+// a certificate-checked escalation) augments the stitched feasible flow to
+// maximality regardless of how good the stitch was, so partition quality
+// only moves work between the parallel region stage and the sequential
+// refinement stage, never correctness.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +27,10 @@ struct ShardOptions {
   /// non-analog (region solves feed an exactness-preserving stitch; an
   /// approximate region flow would push its error into refinement work, and
   /// the analog adapters' crossbar sizing is not meant for shard-scale
-  /// subproblems).
-  std::string region_solver = "dinic";
+  /// subproblems). push_relabel by default: on the grid families the
+  /// sharded route serves it solves regions several times faster than
+  /// dinic; any exact backend leaves the result exact.
+  std::string region_solver = "push_relabel";
   /// Worker threads for region solves; 0 picks hardware concurrency.
   int num_threads = 0;
   /// In-order single-thread region solves (clean traces; results are
@@ -57,11 +60,15 @@ struct ShardReport {
   /// conservation, so this can never undershoot the true max flow.
   double upper_bound = 0.0;
   double stitched_value = 0.0; // feasible flow value after stitch + repair
+  /// The stitch was unusable (repair failed, or it left a negative source
+  /// carry) and was dropped: stitched_value is 0 and refinement ran from
+  /// the zero flow with budget upper_bound.
+  bool stitch_dropped = false;
   double refined_added = 0.0;  // flow added by the exact refinement pass
   double flow_value = 0.0;
   long long region_operations = 0;
   long long repair_operations = 0;
-  long long refine_operations = 0;
+  long long refine_operations = 0; // pushes + relabels of the refinement
   double partition_seconds = 0.0;
   double region_seconds = 0.0;
   double stitch_seconds = 0.0;

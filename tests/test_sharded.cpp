@@ -5,6 +5,7 @@
 // registry/capability wiring, and the serve-protocol `solve --shards` path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -36,38 +37,102 @@ std::vector<graph::FlowNetwork> mixed_instances() {
 
 } // namespace
 
-// The acceptance battery: >= 50 (instance, k) pairs, identical max-flow
-// value to the direct solver, feasible flow, and a bound that is valid
-// before refinement ever runs.
+// The acceptance battery: >= 50 (instance, k) pairs per region backend,
+// identical max-flow value to the direct solver, feasible flow, and a bound
+// that is valid before refinement ever runs. The budgeted warm refinement
+// never needs its escalation: upper_bound - stitched_value always covers
+// the flow still to add.
 TEST(Sharded, MatchesDirectSolverAcrossGeneratorsAndShardCounts) {
   const auto nets = mixed_instances();
-  int cases = 0;
-  for (const auto& net : nets) {
-    const double exact = flow::dinic(net).flow_value;
-    for (int k : {2, 4, 8}) {
+  for (const std::string backend : {"dinic", "push_relabel"}) {
+    int cases = 0;
+    flow::SolveMetrics metrics;
+    for (const auto& net : nets) {
+      const double exact = flow::dinic(net).flow_value;
+      for (int k : {2, 4, 8}) {
+        core::ShardOptions opt;
+        opt.shards = k;
+        opt.region_solver = backend;
+        const core::ShardedSolver solver(opt);
+        core::ShardReport rep;
+        const flow::MaxFlowResult r =
+            solver.solve_csr(graph::CsrGraph::from_network(net), &rep);
+        const std::string label = backend + " n=" +
+                                  std::to_string(net.num_vertices()) +
+                                  " k=" + std::to_string(k);
+        EXPECT_NEAR(r.flow_value, exact, 1e-9 * std::max(1.0, exact)) << label;
+        EXPECT_GE(rep.upper_bound, r.flow_value - 1e-9) << label;
+        EXPECT_GE(r.flow_value, rep.stitched_value - 1e-9) << label;
+        EXPECT_GE(rep.stitched_value, 0.0) << label;
+        EXPECT_NEAR(rep.flow_value, rep.stitched_value + rep.refined_added,
+                    1e-9)
+            << label;
+        EXPECT_EQ(rep.regions, k) << label;
+        int covered = 0;
+        for (int c : rep.region_vertices) covered += c;
+        EXPECT_EQ(covered, net.num_vertices()) << label;
+        EXPECT_TRUE(flow::check_flow(net, r).empty()) << label;
+        metrics += r.metrics;
+        ++cases;
+      }
+    }
+    EXPECT_GE(cases, 50) << backend;
+    // The refinement's restart counters reach the sharded result.
+    EXPECT_GT(metrics.injected_excess_arcs, 0) << backend;
+    EXPECT_EQ(metrics.warm_escalations, 0) << backend;
+  }
+}
+
+// A stitch the repair cannot use is dropped, and refinement runs from the
+// zero flow with the whole upper bound as its budget.
+TEST(Sharded, DroppedStitchRefinesFromZeroExactly) {
+  const auto net = graph::rmat(12, 40, {}, 9);
+  const double exact = flow::dinic(net).flow_value;
+  ASSERT_GT(exact, 0.0);
+  for (const std::string backend : {"dinic", "push_relabel"}) {
+    core::ShardOptions opt;
+    opt.shards = 2;
+    opt.region_solver = backend;
+    core::ShardReport rep;
+    const flow::MaxFlowResult r = core::ShardedSolver(opt).solve_csr(
+        graph::CsrGraph::from_network(net), &rep);
+    ASSERT_TRUE(rep.stitch_dropped) << backend;
+    EXPECT_EQ(rep.stitched_value, 0.0) << backend;
+    EXPECT_NEAR(r.flow_value, exact, 1e-9) << backend;
+    EXPECT_NEAR(rep.refined_added, exact, 1e-9) << backend;
+    EXPECT_TRUE(flow::check_flow(net, r).empty()) << backend;
+    EXPECT_EQ(r.metrics.warm_escalations, 0) << backend;
+  }
+}
+
+// Capacities near 1e9 with fractional parts leave rounding dust far above
+// any absolute epsilon; the warm refinement's certificate must still hold.
+TEST(Sharded, ExactAtLargeCapacityScale) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const auto base = graph::gridflow(12, 10, 16, seed);
+    graph::FlowNetwork net(base.num_vertices(), base.source(), base.sink());
+    double max_cap = 0.0;
+    for (const auto& e : base.edges()) {
+      net.add_edge(e.from, e.to, e.capacity * 1.000000007e9 + 0.37);
+      max_cap = std::max(max_cap, net.edges().back().capacity);
+    }
+    const double exact = flow::push_relabel(net).flow_value;
+    for (int k : {2, 4}) {
       core::ShardOptions opt;
       opt.shards = k;
-      const core::ShardedSolver solver(opt);
       core::ShardReport rep;
-      const flow::MaxFlowResult r =
-          solver.solve_csr(graph::CsrGraph::from_network(net), &rep);
+      const flow::MaxFlowResult r = core::ShardedSolver(opt).solve_csr(
+          graph::CsrGraph::from_network(net), &rep);
       const std::string label =
-          "n=" + std::to_string(net.num_vertices()) + " k=" + std::to_string(k);
-      EXPECT_NEAR(r.flow_value, exact, 1e-9 * std::max(1.0, exact)) << label;
-      EXPECT_GE(rep.upper_bound, r.flow_value - 1e-9) << label;
-      EXPECT_GE(r.flow_value, rep.stitched_value - 1e-9) << label;
-      EXPECT_GE(rep.stitched_value, 0.0) << label;
-      EXPECT_NEAR(rep.flow_value, rep.stitched_value + rep.refined_added, 1e-9)
-          << label;
-      EXPECT_EQ(rep.regions, k) << label;
-      int covered = 0;
-      for (int c : rep.region_vertices) covered += c;
-      EXPECT_EQ(covered, net.num_vertices()) << label;
-      EXPECT_TRUE(flow::check_flow(net, r).empty()) << label;
-      ++cases;
+          "seed=" + std::to_string(seed) + " k=" + std::to_string(k);
+      EXPECT_NEAR(r.flow_value, exact, 1e-9 * exact) << label;
+      EXPECT_GE(rep.upper_bound, r.flow_value - 1e-9 * exact) << label;
+      // The stitch repair treats imbalances below 1e-9 x the largest
+      // capacity as drained (flow/residual.cpp), so conservation holds to
+      // that capacity-relative tolerance here, not to an absolute one.
+      EXPECT_EQ(flow::check_flow(net, r, 1e-9 * max_cap), "") << label;
     }
   }
-  EXPECT_GE(cases, 50);
 }
 
 TEST(Sharded, RegisteredWithShardedCapability) {
@@ -146,9 +211,16 @@ TEST(Sharded, DegenerateShardCountsFallBackToDirectSolve) {
   core::ShardOptions one;
   one.shards = 1;
   core::ShardReport rep;
-  EXPECT_NEAR(core::ShardedSolver(one).solve_csr(g, &rep).flow_value, exact,
-              1e-9);
+  const flow::MaxFlowResult r = core::ShardedSolver(one).solve_csr(g, &rep);
+  EXPECT_NEAR(r.flow_value, exact, 1e-9);
+  EXPECT_TRUE(flow::check_flow(net, r).empty());
   EXPECT_EQ(rep.regions, 1);
+  // One region is the warm refinement alone, budgeted by the terminal bound.
+  EXPECT_EQ(rep.stitched_value, 0.0);
+  EXPECT_NEAR(rep.refined_added, exact, 1e-9);
+  EXPECT_GE(rep.upper_bound, exact);
+  EXPECT_EQ(r.operations, rep.refine_operations);
+  EXPECT_EQ(r.metrics.warm_escalations, 0);
 
   // shards > n clamps to the vertex count instead of throwing.
   core::ShardOptions many;
@@ -208,6 +280,15 @@ TEST(Sharded, ServeSolveShardsMatchesDirectPath) {
   EXPECT_NE(sharded.find("\"shards\":{"), std::string::npos) << sharded;
   EXPECT_NE(sharded.find("\"upper_bound\":"), std::string::npos) << sharded;
   EXPECT_NEAR(flow_of(sharded), flow_of(direct), 1e-9);
+
+  // Without --region-solver the request uses the library default.
+  const std::string plain = engine.handle("solve --shards 4");
+  ASSERT_NE(plain.find("\"ok\":true"), std::string::npos) << plain;
+  EXPECT_NE(plain.find("\"region_solver\":\"" +
+                       core::ShardOptions{}.region_solver + "\""),
+            std::string::npos)
+      << plain;
+  EXPECT_NEAR(flow_of(plain), flow_of(direct), 1e-9);
 
   // A bad region backend surfaces as a clean ok:false, not a dead session.
   const std::string bad =
