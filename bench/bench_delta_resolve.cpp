@@ -100,13 +100,7 @@ Stream make_stream(const graph::FlowNetwork& base, int steps,
 struct RunTotals {
   std::vector<double> flows; // one per revision (incl. the base)
   long long operations = 0;  // backend ops (paths / pushes+relabels)
-  long long delta_solves = 0;
-  long long delta_fallbacks = 0;
-  long long edges_touched = 0;
-  long long injected_excess_arcs = 0;
-  long long returned_excess_walks = 0;
-  long long phase2_fallbacks = 0;
-  long long warm_escalations = 0;
+  flow::SolveMetrics metrics; // summed over the delta steps
 };
 
 RunTotals run_scratch(const Backend& b, const Stream& s) {
@@ -128,13 +122,7 @@ RunTotals run_incremental(const Backend& b, const Stream& s) {
     flow::MaxFlowResult r = b.solve_delta(s.nets[k + 1], s.deltas[k], prior, {});
     t.flows.push_back(r.flow_value);
     t.operations += r.operations;
-    t.delta_solves += r.metrics.delta_solves;
-    t.delta_fallbacks += r.metrics.delta_fallbacks;
-    t.edges_touched += r.metrics.edges_touched;
-    t.injected_excess_arcs += r.metrics.injected_excess_arcs;
-    t.returned_excess_walks += r.metrics.returned_excess_walks;
-    t.phase2_fallbacks += r.metrics.phase2_fallbacks;
-    t.warm_escalations += r.metrics.warm_escalations;
+    t.metrics += r.metrics;
     prior = std::move(r);
   }
   return t;
@@ -200,6 +188,7 @@ int main(int argc, char** argv) {
   for (const Backend& b : backends) {
     const RunTotals scratch = run_scratch(b, stream);
     const RunTotals inc = run_incremental(b, stream);
+    const flow::SolveMetrics& m = inc.metrics;
 
     for (size_t k = 0; k < scratch.flows.size(); ++k) {
       const double scale = std::max(1.0, std::abs(scratch.flows[k]));
@@ -211,27 +200,27 @@ int main(int argc, char** argv) {
         ok = false;
       }
     }
-    if (inc.delta_solves != steps || inc.delta_fallbacks != 0) {
+    if (m.delta_solves != steps || m.delta_fallbacks != 0) {
       std::fprintf(stderr,
                    "FAIL(%s): delta path engaged on %lld/%d steps "
                    "(%lld fallbacks, want 0)\n",
-                   b.name, inc.delta_solves, steps, inc.delta_fallbacks);
+                   b.name, m.delta_solves, steps, m.delta_fallbacks);
       ok = false;
     }
     std::printf("%-14s value identity over %d revisions: %s; "
                 "%lld delta solves, %lld fallbacks, %lld edges touched, "
                 "ops %lld scratch / %lld incremental\n",
-                b.name, steps + 1, ok ? "OK" : "FAILED", inc.delta_solves,
-                inc.delta_fallbacks, inc.edges_touched, scratch.operations,
+                b.name, steps + 1, ok ? "OK" : "FAILED", m.delta_solves,
+                m.delta_fallbacks, m.edges_touched, scratch.operations,
                 inc.operations);
-    if (inc.injected_excess_arcs || inc.warm_escalations ||
-        inc.phase2_fallbacks)
+    if (m.injected_excess_arcs || m.warm_escalations ||
+        m.phase2_fallbacks)
       std::printf("%-14s restart telemetry: %lld injected arcs, "
                   "%lld excess walks, %lld phase-2 fallbacks, "
                   "%lld warm escalations\n",
-                  b.name, inc.injected_excess_arcs,
-                  inc.returned_excess_walks, inc.phase2_fallbacks,
-                  inc.warm_escalations);
+                  b.name, m.injected_excess_arcs,
+                  m.returned_excess_walks, m.phase2_fallbacks,
+                  m.warm_escalations);
 
     GateResult g{std::string("delta_vs_scratch_") + b.name, 0.0,
                  min_speedup * b.gate_scale, 0.0, 0.0, false};
@@ -254,13 +243,13 @@ int main(int argc, char** argv) {
     j.field("solver", b.name);
     j.field("operations_scratch", scratch.operations);
     j.field("operations_incremental", inc.operations);
-    j.field("delta_solves", inc.delta_solves);
-    j.field("delta_fallbacks", inc.delta_fallbacks);
-    j.field("edges_touched", inc.edges_touched);
-    j.field("injected_excess_arcs", inc.injected_excess_arcs);
-    j.field("returned_excess_walks", inc.returned_excess_walks);
-    j.field("phase2_fallbacks", inc.phase2_fallbacks);
-    j.field("warm_escalations", inc.warm_escalations);
+    j.field("delta_solves", m.delta_solves);
+    j.field("delta_fallbacks", m.delta_fallbacks);
+    j.field("edges_touched", m.edges_touched);
+    j.field("injected_excess_arcs", m.injected_excess_arcs);
+    j.field("returned_excess_walks", m.returned_excess_walks);
+    j.field("phase2_fallbacks", m.phase2_fallbacks);
+    j.field("warm_escalations", m.warm_escalations);
     j.field("wall_ms_scratch", g.base_ms);
     j.field("wall_ms_incremental", g.fast_ms);
     j.end_object();

@@ -5,12 +5,13 @@
 // The bench writes a gridflow instance to a DIMACS file, then runs two
 // pipelines in one process:
 //
-//   sharded: stream the file into a CsrGraph (graph::read_dimacs_stream),
-//            partition into --shards regions, solve them through the
-//            BatchEngine worker pool, stitch + repair + refine;
-//   direct:  read the file into a FlowNetwork (graph::read_dimacs) and
-//            solve it cold with single-thread Dinic and with single-thread
-//            push-relabel.
+//   sharded: stream the file into a CsrGraph edge list
+//            (graph::read_dimacs_stream), partition into --shards regions,
+//            solve them through the BatchEngine worker pool, stitch +
+//            repair + refine;
+//   direct:  read the file into a FlowNetwork (graph::read_dimacs: the same
+//            parser, plus the adjacency build) and solve it cold with
+//            single-thread Dinic and with single-thread push-relabel.
 //
 // Asserts
 //   (a) flow-value identity to 1e-9 and a feasible sharded flow

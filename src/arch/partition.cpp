@@ -8,6 +8,7 @@
 #include <map>
 #include <numeric>
 #include <random>
+#include <span>
 #include <stdexcept>
 
 namespace aflow::arch {
@@ -285,12 +286,11 @@ std::vector<int> bfs_order(int size, const std::vector<std::int64_t>& adj_start,
   return order;
 }
 
-/// Shared k-way recursion over any edge-list view (FlowNetwork or CsrGraph):
-/// `edge_at(e)` yields endpoints, `cap_at(e)` the capacity.
-template <typename EdgeAt, typename CapAt>
-RegionPartition partition_regions_impl(int n, std::int64_t m, EdgeAt edge_at,
-                                       CapAt cap_at,
-                                       const RegionPartitionOptions& opts) {
+/// The k-way recursion over an edge list (FlowNetwork::edges() or
+/// CsrGraph::edges()).
+RegionPartition partition_regions_impl(
+    int n, std::span<const graph::Edge> edge_list,
+    const RegionPartitionOptions& opts) {
   if (opts.regions < 1)
     throw std::invalid_argument("partition_regions: need at least one region");
   if (opts.regions > n)
@@ -333,10 +333,9 @@ RegionPartition partition_regions_impl(int n, std::int64_t m, EdgeAt edge_at,
 
     for (int i = 0; i < size; ++i) local[g.verts[static_cast<size_t>(i)]] = i;
     std::vector<std::pair<int, int>> edges;
-    for (std::int64_t e = 0; e < m; ++e) {
-      const auto [fu, fv] = edge_at(e);
-      const int u = local[static_cast<size_t>(fu)];
-      const int v = local[static_cast<size_t>(fv)];
+    for (const graph::Edge& e : edge_list) {
+      const int u = local[static_cast<size_t>(e.from)];
+      const int v = local[static_cast<size_t>(e.to)];
       if (u >= 0 && v >= 0 && u != v) edges.emplace_back(u, v);
     }
 
@@ -390,13 +389,13 @@ RegionPartition partition_regions_impl(int n, std::int64_t m, EdgeAt edge_at,
         .push_back(v);
 
   std::vector<char> on_boundary(static_cast<size_t>(n), 0);
-  for (std::int64_t e = 0; e < m; ++e) {
-    const auto [u, v] = edge_at(e);
+  for (size_t e = 0; e < edge_list.size(); ++e) {
+    const auto [u, v, capacity] = edge_list[e];
     if (out.region[static_cast<size_t>(u)] ==
         out.region[static_cast<size_t>(v)])
       continue;
-    out.cut_arcs.push_back(e);
-    out.cut_capacity += cap_at(e);
+    out.cut_arcs.push_back(static_cast<std::int64_t>(e));
+    out.cut_capacity += capacity;
     on_boundary[static_cast<size_t>(u)] = 1;
     on_boundary[static_cast<size_t>(v)] = 1;
   }
@@ -412,26 +411,12 @@ RegionPartition partition_regions_impl(int n, std::int64_t m, EdgeAt edge_at,
 
 RegionPartition partition_regions(const graph::FlowNetwork& net,
                                   const RegionPartitionOptions& opts) {
-  return partition_regions_impl(
-      net.num_vertices(), static_cast<std::int64_t>(net.num_edges()),
-      [&net](std::int64_t e) {
-        const auto& ed = net.edge(static_cast<int>(e));
-        return std::pair<int, int>{ed.from, ed.to};
-      },
-      [&net](std::int64_t e) {
-        return net.edge(static_cast<int>(e)).capacity;
-      },
-      opts);
+  return partition_regions_impl(net.num_vertices(), net.edges(), opts);
 }
 
 RegionPartition partition_regions(const graph::CsrGraph& g,
                                   const RegionPartitionOptions& opts) {
-  return partition_regions_impl(
-      g.num_vertices(), g.num_edges(),
-      [&g](std::int64_t e) {
-        return std::pair<int, int>{g.edge_from(e), g.edge_to(e)};
-      },
-      [&g](std::int64_t e) { return g.edge_capacity(e); }, opts);
+  return partition_regions_impl(g.num_vertices(), g.edges(), opts);
 }
 
 } // namespace aflow::arch

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -80,8 +81,10 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::CsrGraph& g,
   const int s = g.source();
   const int t = g.sink();
   const int k = std::min(options_.shards, n);
-  const double trivial_bound =
-      std::min(g.source_out_capacity(), g.sink_in_capacity());
+  const std::span<const graph::Edge> edges = g.edges();
+  const double source_out = g.source_out_capacity();
+  const double sink_in = g.sink_in_capacity();
+  const double trivial_bound = std::min(source_out, sink_in);
 
   ShardReport local_report;
   ShardReport& rep = report ? *report : local_report;
@@ -94,12 +97,12 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::CsrGraph& g,
     rep.region_vertices = {n};
     rep.upper_bound = trivial_bound;
     const auto t0 = Clock::now();
-    flow::detail::Residual r(g);
+    flow::detail::Residual r(n, edges);
     rep.refine_operations =
         refine(r, s, t, rep.upper_bound, cancel, result.metrics);
     rep.refine_seconds = seconds_since(t0);
-    result.flow_value = r.carried_flow_at(s);
-    result.edge_flow = r.carried_edge_flows();
+    result.flow_value = r.flow_value_at(edges, s);
+    result.edge_flow = r.edge_flows(edges);
     result.operations = rep.refine_operations;
     rep.flow_value = result.flow_value;
     rep.refined_added = result.flow_value;
@@ -129,8 +132,8 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::CsrGraph& g,
     graph::FlowNetwork quotient(part.num_regions, part.region[s],
                                 part.region[t]);
     for (const std::int64_t e : part.cut_arcs)
-      quotient.add_edge(part.region[g.edge_from(e)],
-                        part.region[g.edge_to(e)], g.edge_capacity(e));
+      quotient.add_edge(part.region[g.edge(e).from],
+                        part.region[g.edge(e).to], g.edge(e).capacity);
     rep.upper_bound =
         std::min(rep.upper_bound, flow::dinic(quotient, cancel).flow_value);
   }
@@ -149,9 +152,9 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::CsrGraph& g,
       static_cast<size_t>(part.num_regions));
   {
     std::vector<std::int64_t> count(static_cast<size_t>(part.num_regions), 0);
-    for (std::int64_t e = 0; e < m; ++e) {
-      const int r = part.region[g.edge_from(e)];
-      if (r == part.region[g.edge_to(e)]) ++count[static_cast<size_t>(r)];
+    for (const graph::Edge& e : edges) {
+      const int r = part.region[e.from];
+      if (r == part.region[e.to]) ++count[static_cast<size_t>(r)];
     }
     for (int r = 0; r < part.num_regions; ++r)
       internal[static_cast<size_t>(r)].reserve(
@@ -161,15 +164,15 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::CsrGraph& g,
       static_cast<size_t>(part.num_regions)),
       out_slots(static_cast<size_t>(part.num_regions));
   for (std::int64_t e = 0; e < m; ++e) {
-    const int ru = part.region[g.edge_from(e)];
-    const int rv = part.region[g.edge_to(e)];
-    if (ru == rv) internal[static_cast<size_t>(ru)].push_back(e);
+    const int ru = part.region[g.edge(e).from];
+    if (ru == part.region[g.edge(e).to])
+      internal[static_cast<size_t>(ru)].push_back(e);
   }
   for (size_t slot = 0; slot < part.cut_arcs.size(); ++slot) {
     const std::int64_t e = part.cut_arcs[slot];
-    out_slots[static_cast<size_t>(part.region[g.edge_from(e)])].push_back(
+    out_slots[static_cast<size_t>(part.region[g.edge(e).from])].push_back(
         static_cast<std::int64_t>(slot));
-    in_slots[static_cast<size_t>(part.region[g.edge_to(e)])].push_back(
+    in_slots[static_cast<size_t>(part.region[g.edge(e).to])].push_back(
         static_cast<std::int64_t>(slot));
   }
 
@@ -178,8 +181,8 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::CsrGraph& g,
   std::vector<double> cut_in(part.cut_arcs.size(), 0.0);
   std::vector<long long> region_ops(static_cast<size_t>(part.num_regions), 0);
 
-  const double s_supply = std::max(g.source_out_capacity(), 1.0);
-  const double t_drain = std::max(g.sink_in_capacity(), 1.0);
+  const double s_supply = std::max(source_out, 1.0);
+  const double t_drain = std::max(sink_in, 1.0);
 
   const auto make = [&](int r) {
     // Chaos battery: "shard.region:throw" / ":delay" faults the region
@@ -190,16 +193,15 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::CsrGraph& g,
     const int nr = static_cast<int>(verts.size());
     graph::FlowNetwork net(nr + 2, nr, nr + 1); // S_r = nr, T_r = nr + 1
     for (const std::int64_t e : internal[static_cast<size_t>(r)])
-      net.add_edge(local_id(verts, g.edge_from(e)),
-                   local_id(verts, g.edge_to(e)), g.edge_capacity(e));
+      net.add_edge(local_id(verts, g.edge(e).from),
+                   local_id(verts, g.edge(e).to), g.edge(e).capacity);
     for (const std::int64_t slot : in_slots[static_cast<size_t>(r)]) {
-      const std::int64_t e = part.cut_arcs[static_cast<size_t>(slot)];
-      net.add_edge(nr, local_id(verts, g.edge_to(e)), g.edge_capacity(e));
+      const graph::Edge& e = g.edge(part.cut_arcs[static_cast<size_t>(slot)]);
+      net.add_edge(nr, local_id(verts, e.to), e.capacity);
     }
     for (const std::int64_t slot : out_slots[static_cast<size_t>(r)]) {
-      const std::int64_t e = part.cut_arcs[static_cast<size_t>(slot)];
-      net.add_edge(local_id(verts, g.edge_from(e)), nr + 1,
-                   g.edge_capacity(e));
+      const graph::Edge& e = g.edge(part.cut_arcs[static_cast<size_t>(slot)]);
+      net.add_edge(local_id(verts, e.from), nr + 1, e.capacity);
     }
     if (part.region[s] == r) net.add_edge(nr, local_id(verts, s), s_supply);
     if (part.region[t] == r) net.add_edge(local_id(verts, t), nr + 1, t_drain);
@@ -266,11 +268,12 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::CsrGraph& g,
           direct.index = out.index;
           const graph::FlowNetwork net = make(out.index);
           net.validate();
-          flow::detail::Residual rr(net);
+          flow::detail::Residual rr(net.num_vertices(), net.edges());
           flow::detail::dinic_augment(rr, net.source(), net.sink(), ops,
                                       cancel);
-          direct.result.flow_value = rr.flow_value_at(net, net.source());
-          direct.result.edge_flow = rr.edge_flows(net);
+          direct.result.flow_value =
+              rr.flow_value_at(net.edges(), net.source());
+          direct.result.edge_flow = rr.edge_flows(net.edges());
           direct.result.operations = ops;
           consume(direct);
         } catch (const util::CancelledError&) {
@@ -302,11 +305,11 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::CsrGraph& g,
   cut_out = std::vector<double>();
   cut_in = std::vector<double>();
 
-  flow::detail::Residual r(g, flow);
+  flow::detail::Residual r(n, edges, flow);
   flow = std::vector<double>();
   rep.stitched_value =
       flow::detail::repair_conservation(r, s, t, rep.repair_operations, cancel)
-          ? r.carried_flow_at(s)
+          ? r.flow_value_at(edges, s)
           : -1.0;
   if (rep.stitched_value < 0.0) {
     // Degenerate stitch: repair failed, or the region solutions routed more
@@ -314,7 +317,7 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::CsrGraph& g,
     // own region), leaving a worse-than-empty carry. Drop it entirely —
     // exactness is untouched, refinement just starts from zero flow (a
     // direct solve).
-    r = flow::detail::Residual(g);
+    r = flow::detail::Residual(n, edges);
     rep.stitched_value = 0.0;
     rep.stitch_dropped = true;
   }
@@ -326,8 +329,8 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::CsrGraph& g,
                                  cancel, result.metrics);
   rep.refine_seconds = seconds_since(refine_t0);
 
-  result.flow_value = r.carried_flow_at(s);
-  result.edge_flow = r.carried_edge_flows();
+  result.flow_value = r.flow_value_at(edges, s);
+  result.edge_flow = r.edge_flows(edges);
   result.operations =
       rep.region_operations + rep.repair_operations + rep.refine_operations;
   result.metrics.fallback_region_retries = rep.region_retries;

@@ -108,7 +108,7 @@ MaxFlowResult solve_delta_impl(const graph::FlowNetwork& net,
   };
   if (!delta_prior_usable(net, prior)) return scratch(/*fallback=*/true);
 
-  detail::Residual r(net, prior.edge_flow);
+  detail::Residual r(net.num_vertices(), net.edges(), prior.edge_flow);
   MaxFlowResult result;
   if (use_push_relabel) {
     // The repair's touch log is what prices the warm restart: arcs whose
@@ -132,7 +132,7 @@ MaxFlowResult solve_delta_impl(const graph::FlowNetwork& net,
       const detail::PushRelabelWarm plan{std::min(
           warm_injection_budget(delta, prior, r, touched, eps),
           warm_cut_budget(delta, prior,
-                          r.flow_value_at(net, net.source()), eps))};
+                          r.flow_value_at(net.edges(), net.source()), eps))};
       result.operations += detail::push_relabel_augment(
           r, net.source(), net.sink(), cancel, &result.metrics, &plan);
     } else {
@@ -150,8 +150,8 @@ MaxFlowResult solve_delta_impl(const graph::FlowNetwork& net,
                           cancel);
   }
 
-  result.flow_value = r.flow_value_at(net, net.source());
-  result.edge_flow = r.edge_flows(net);
+  result.flow_value = r.flow_value_at(net.edges(), net.source());
+  result.edge_flow = r.edge_flows(net.edges());
   result.metrics.delta_solves = 1;
   result.metrics.edges_touched = delta.distinct_edges();
   return result;

@@ -92,11 +92,11 @@ double dinic_augment(Residual& r, int s, int t, long long& ops,
 
 MaxFlowResult dinic(const graph::FlowNetwork& net,
                     const util::CancelToken& cancel) {
-  detail::Residual r(net);
+  detail::Residual r(net.num_vertices(), net.edges());
   MaxFlowResult result;
   result.flow_value = detail::dinic_augment(r, net.source(), net.sink(),
                                             result.operations, cancel);
-  result.edge_flow = r.edge_flows(net);
+  result.edge_flow = r.edge_flows(net.edges());
   return result;
 }
 

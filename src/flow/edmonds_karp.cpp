@@ -9,7 +9,7 @@ namespace aflow::flow {
 
 MaxFlowResult edmonds_karp(const graph::FlowNetwork& net,
                            const util::CancelToken& cancel) {
-  detail::Residual r(net);
+  detail::Residual r(net.num_vertices(), net.edges());
   const int s = net.source();
   const int t = net.sink();
   MaxFlowResult result;
@@ -50,7 +50,7 @@ MaxFlowResult edmonds_karp(const graph::FlowNetwork& net,
     result.operations++;
   }
 
-  result.edge_flow = r.edge_flows(net);
+  result.edge_flow = r.edge_flows(net.edges());
   return result;
 }
 

@@ -69,32 +69,47 @@ struct SolveMetrics {
   /// one solver bank). The two scopes reconcile by construction — summing
   /// the per-session pool_* counters over all sessions of a bank yields
   /// the shared pool's own cumulative hit/miss/eviction statistics.
-  SolveMetrics& operator+=(const SolveMetrics& m) {
-    iterations += m.iterations;
-    full_factors += m.full_factors;
-    refactors += m.refactors;
-    prototype_refactors += m.prototype_refactors;
-    rhs_refreshes += m.rhs_refreshes;
-    warm_iterations += m.warm_iterations;
-    cold_iterations += m.cold_iterations;
-    warm_started = warm_started || m.warm_started;
-    pool_hits += m.pool_hits;
-    pool_misses += m.pool_misses;
-    pool_evictions += m.pool_evictions;
-    delta_solves += m.delta_solves;
-    delta_fallbacks += m.delta_fallbacks;
-    edges_touched += m.edges_touched;
-    injected_excess_arcs += m.injected_excess_arcs;
-    returned_excess_walks += m.returned_excess_walks;
-    phase2_fallbacks += m.phase2_fallbacks;
-    warm_escalations += m.warm_escalations;
-    fallback_analog_digital += m.fallback_analog_digital;
-    fallback_region_retries += m.fallback_region_retries;
-    fallback_region_direct += m.fallback_region_direct;
-    fallback_pool_rebuilds += m.fallback_pool_rebuilds;
-    return *this;
-  }
+  SolveMetrics& operator+=(const SolveMetrics& m);
 };
+
+/// One named counter of SolveMetrics.
+struct MetricCounter {
+  const char* name;
+  long long SolveMetrics::*field;
+};
+
+/// Every counter of SolveMetrics, in declaration order: the one list that
+/// operator+=, the serve `metrics` objects and the `aflow bench --json`
+/// report loop over (warm_started, a flag, is the only field outside it).
+inline constexpr MetricCounter kMetricCounters[] = {
+    {"iterations", &SolveMetrics::iterations},
+    {"full_factors", &SolveMetrics::full_factors},
+    {"refactors", &SolveMetrics::refactors},
+    {"prototype_refactors", &SolveMetrics::prototype_refactors},
+    {"rhs_refreshes", &SolveMetrics::rhs_refreshes},
+    {"warm_iterations", &SolveMetrics::warm_iterations},
+    {"cold_iterations", &SolveMetrics::cold_iterations},
+    {"pool_hits", &SolveMetrics::pool_hits},
+    {"pool_misses", &SolveMetrics::pool_misses},
+    {"pool_evictions", &SolveMetrics::pool_evictions},
+    {"delta_solves", &SolveMetrics::delta_solves},
+    {"delta_fallbacks", &SolveMetrics::delta_fallbacks},
+    {"edges_touched", &SolveMetrics::edges_touched},
+    {"injected_excess_arcs", &SolveMetrics::injected_excess_arcs},
+    {"returned_excess_walks", &SolveMetrics::returned_excess_walks},
+    {"phase2_fallbacks", &SolveMetrics::phase2_fallbacks},
+    {"warm_escalations", &SolveMetrics::warm_escalations},
+    {"fallback_analog_digital", &SolveMetrics::fallback_analog_digital},
+    {"fallback_region_retries", &SolveMetrics::fallback_region_retries},
+    {"fallback_region_direct", &SolveMetrics::fallback_region_direct},
+    {"fallback_pool_rebuilds", &SolveMetrics::fallback_pool_rebuilds},
+};
+
+inline SolveMetrics& SolveMetrics::operator+=(const SolveMetrics& m) {
+  for (const MetricCounter& c : kMetricCounters) this->*c.field += m.*c.field;
+  warm_started = warm_started || m.warm_started;
+  return *this;
+}
 
 struct MaxFlowResult {
   double flow_value = 0.0;

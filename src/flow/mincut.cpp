@@ -1,8 +1,8 @@
-#include <cmath>
+#include <algorithm>
 #include <queue>
-#include <sstream>
 
 #include "flow/maxflow.hpp"
+#include "graph/csr.hpp"
 
 namespace aflow::flow {
 
@@ -58,37 +58,9 @@ MinCutResult min_cut_from_flow(const graph::FlowNetwork& net,
 
 std::string check_flow(const graph::FlowNetwork& net, const MaxFlowResult& result,
                        double tol) {
-  std::ostringstream err;
-  if (static_cast<int>(result.edge_flow.size()) != net.num_edges())
-    return "edge_flow size mismatch";
-
-  for (int e = 0; e < net.num_edges(); ++e) {
-    const double f = result.edge_flow[e];
-    const double c = net.edge(e).capacity;
-    if (f < -tol || f > c + tol) {
-      err << "edge " << e << ": flow " << f << " outside [0, " << c << "]";
-      return err.str();
-    }
-  }
-  for (int v = 0; v < net.num_vertices(); ++v) {
-    if (v == net.source() || v == net.sink()) continue;
-    double balance = 0.0;
-    for (int e : net.in_edges(v)) balance += result.edge_flow[e];
-    for (int e : net.out_edges(v)) balance -= result.edge_flow[e];
-    if (std::abs(balance) > tol) {
-      err << "vertex " << v << ": conservation violated by " << balance;
-      return err.str();
-    }
-  }
-  double source_out = 0.0;
-  for (int e : net.out_edges(net.source())) source_out += result.edge_flow[e];
-  for (int e : net.in_edges(net.source())) source_out -= result.edge_flow[e];
-  if (std::abs(source_out - result.flow_value) > tol) {
-    err << "flow_value " << result.flow_value << " != net source outflow "
-        << source_out;
-    return err.str();
-  }
-  return {};
+  return graph::check_edge_flow(net.num_vertices(), net.source(), net.sink(),
+                                net.edges(), result.edge_flow,
+                                result.flow_value, tol);
 }
 
 } // namespace aflow::flow

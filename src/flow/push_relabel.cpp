@@ -471,12 +471,12 @@ long long push_relabel_augment(Residual& r, int s, int t,
 
 MaxFlowResult push_relabel(const graph::FlowNetwork& net,
                            const util::CancelToken& cancel) {
-  detail::Residual r(net);
+  detail::Residual r(net.num_vertices(), net.edges());
   MaxFlowResult result;
   result.operations = detail::push_relabel_augment(
       r, net.source(), net.sink(), cancel, &result.metrics);
-  result.flow_value = r.flow_value_at(net, net.source());
-  result.edge_flow = r.edge_flows(net);
+  result.flow_value = r.flow_value_at(net.edges(), net.source());
+  result.edge_flow = r.edge_flows(net.edges());
   return result;
 }
 

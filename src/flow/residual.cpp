@@ -1,117 +1,64 @@
 #include "flow/residual.hpp"
 
 #include <algorithm>
-#include <cstdint>
 #include <limits>
 #include <queue>
 #include <stdexcept>
 
 namespace aflow::flow::detail {
 
-Residual::Residual(const graph::FlowNetwork& net) : n(net.num_vertices()) {
-  const int m = net.num_edges();
-  cap.resize(2 * static_cast<size_t>(m));
-  head.resize(2 * static_cast<size_t>(m));
+Residual::Residual(int n, std::span<const graph::Edge> edges,
+                   std::span<const double> prior)
+    : n(n) {
+  const size_t m = edges.size();
+  if (2 * m >= static_cast<size_t>(std::numeric_limits<int>::max()))
+    throw std::length_error(
+        "Residual: 2m arcs exceed the int arc index; the residual caps "
+        "instances below 2^30 edges");
+  if (!prior.empty() && prior.size() != m)
+    throw std::invalid_argument("Residual: prior flow is not one per edge");
+  cap.resize(2 * m);
+  head.resize(2 * m);
   arc_start.assign(static_cast<size_t>(n) + 1, 0);
-  for (int e = 0; e < m; ++e) {
-    const auto& edge = net.edge(e);
-    cap[2 * static_cast<size_t>(e)] = edge.capacity;
-    cap[2 * static_cast<size_t>(e) + 1] = 0.0;
-    head[2 * static_cast<size_t>(e)] = edge.to;
-    head[2 * static_cast<size_t>(e) + 1] = edge.from;
+  for (size_t e = 0; e < m; ++e) {
+    const graph::Edge& edge = edges[e];
+    const double f =
+        prior.empty() ? 0.0 : std::clamp(prior[e], 0.0, edge.capacity);
+    cap[2 * e] = edge.capacity - f;
+    cap[2 * e + 1] = f;
+    head[2 * e] = edge.to;
+    head[2 * e + 1] = edge.from;
     arc_start[static_cast<size_t>(edge.from) + 1]++;
     arc_start[static_cast<size_t>(edge.to) + 1]++;
   }
   for (int v = 0; v < n; ++v) arc_start[v + 1] += arc_start[v];
-  arc_ids.resize(2 * static_cast<size_t>(m));
+  arc_ids.resize(2 * m);
   std::vector<int> cursor(arc_start.begin(), arc_start.end() - 1);
-  for (int e = 0; e < m; ++e) {
-    const auto& edge = net.edge(e);
-    arc_ids[cursor[edge.from]++] = 2 * e;
-    arc_ids[cursor[edge.to]++] = 2 * e + 1;
+  for (size_t e = 0; e < m; ++e) {
+    arc_ids[cursor[edges[e].from]++] = static_cast<int>(2 * e);
+    arc_ids[cursor[edges[e].to]++] = static_cast<int>(2 * e + 1);
   }
 }
 
-Residual::Residual(const graph::FlowNetwork& net,
-                   std::span<const double> prior_flow)
-    : Residual(net) {
-  const int m = net.num_edges();
-  for (int e = 0; e < m; ++e) {
-    const double c = net.edge(e).capacity;
-    const double f = std::clamp(prior_flow[e], 0.0, c);
-    cap[2 * static_cast<size_t>(e)] = c - f;
-    cap[2 * static_cast<size_t>(e) + 1] = f;
-  }
-}
-
-Residual::Residual(const graph::CsrGraph& g) : n(g.num_vertices()) {
-  const std::int64_t m = g.num_edges();
-  if (2 * m >= std::numeric_limits<int>::max())
-    throw std::length_error(
-        "Residual: 2m arcs exceed the int arc index; the refinement residual "
-        "caps sharded instances below 2^30 edges");
-  cap.resize(2 * static_cast<size_t>(m));
-  head.resize(2 * static_cast<size_t>(m));
-  arc_start.assign(static_cast<size_t>(n) + 1, 0);
-  for (std::int64_t e = 0; e < m; ++e) {
-    cap[2 * static_cast<size_t>(e)] = g.edge_capacity(e);
-    cap[2 * static_cast<size_t>(e) + 1] = 0.0;
-    head[2 * static_cast<size_t>(e)] = g.edge_to(e);
-    head[2 * static_cast<size_t>(e) + 1] = g.edge_from(e);
-  }
-  // The CSR view already holds the incidence lists in the same arc encoding;
-  // copy them down to int instead of re-counting.
-  for (int v = 0; v < n; ++v)
-    arc_start[static_cast<size_t>(v) + 1] =
-        arc_start[static_cast<size_t>(v)] +
-        static_cast<int>(g.arcs(v).size());
-  arc_ids.resize(2 * static_cast<size_t>(m));
-  size_t w = 0;
-  for (int v = 0; v < n; ++v)
-    for (std::int64_t a : g.arcs(v)) arc_ids[w++] = static_cast<int>(a);
-}
-
-Residual::Residual(const graph::CsrGraph& g, std::span<const double> prior_flow)
-    : Residual(g) {
-  const std::int64_t m = g.num_edges();
-  for (std::int64_t e = 0; e < m; ++e) {
-    const double c = g.edge_capacity(e);
-    const double f = std::clamp(prior_flow[static_cast<size_t>(e)], 0.0, c);
-    cap[2 * static_cast<size_t>(e)] = c - f;
-    cap[2 * static_cast<size_t>(e) + 1] = f;
-  }
-}
-
-double Residual::flow_value_at(const graph::FlowNetwork& net, int s) const {
-  double value = 0.0;
-  for (int e : net.out_edges(s))
-    value += net.edge(e).capacity - cap[2 * static_cast<size_t>(e)];
-  for (int e : net.in_edges(s))
-    value -= net.edge(e).capacity - cap[2 * static_cast<size_t>(e)];
-  return value;
-}
-
-std::vector<double> Residual::edge_flows(const graph::FlowNetwork& net) const {
-  std::vector<double> flows(net.num_edges());
-  for (int e = 0; e < net.num_edges(); ++e)
-    flows[e] = net.edge(e).capacity - cap[2 * static_cast<size_t>(e)];
+std::vector<double> Residual::edge_flows(
+    std::span<const graph::Edge> edges) const {
+  std::vector<double> flows(edges.size());
+  for (size_t e = 0; e < edges.size(); ++e)
+    flows[e] = edges[e].capacity - cap[2 * e];
   return flows;
 }
 
-std::vector<double> Residual::carried_edge_flows() const {
-  const size_t m = cap.size() / 2;
-  std::vector<double> flows(m);
-  for (size_t e = 0; e < m; ++e) flows[e] = cap[2 * e + 1];
-  return flows;
-}
-
-double Residual::carried_flow_at(int s) const {
-  // Even incident arcs are out-edges of s (flow = reverse cap), odd ones are
-  // in-edges (flow = the odd arc's own cap).
+double Residual::flow_value_at(std::span<const graph::Edge> edges,
+                               int s) const {
+  // arcs(s) lists s's incident edges in edge order: even arcs are its
+  // out-edges, odd ones its in-edges.
   double value = 0.0;
   for (int a : arcs(s))
-    value += (a & 1) ? -cap[static_cast<size_t>(a)]
-                     : cap[static_cast<size_t>(a ^ 1)];
+    if (!(a & 1))
+      value += edges[static_cast<size_t>(a >> 1)].capacity - cap[a];
+  for (int a : arcs(s))
+    if (a & 1)
+      value -= edges[static_cast<size_t>(a >> 1)].capacity - cap[a ^ 1];
   return value;
 }
 
@@ -130,12 +77,13 @@ namespace {
 
 /// Imbalances below this are float dust, not repair work: digital priors
 /// carry integral flows, so genuine violations are >= 1 capacity unit.
-/// Relative to the instance's capacity scale — at capacities >= 1e9 the
-/// rounding dust of carried flows exceeds any absolute threshold, so the
-/// repair scales the epsilon by the largest residual capacity (clamped to
-/// at least the historical absolute value so small instances behave
-/// exactly as before).
+/// At capacities >= 1e9 the rounding dust of carried flows exceeds any
+/// absolute threshold, so the repair's epsilon follows the largest residual
+/// capacity — at push-relabel's own excess threshold (1e-11 x scale), never
+/// coarser, since imbalance the repair leaves behind is imbalance no later
+/// augmentation removes — with the absolute value as its floor.
 constexpr double kImbalanceEps = 1e-9;
+constexpr double kImbalanceRelEps = 1e-11;
 
 double capacity_scale(const Residual& r) {
   double scale = 1.0;
@@ -150,7 +98,8 @@ double capacity_scale(const Residual& r) {
 class ConservationRepair {
  public:
   ConservationRepair(Residual& r, int s, int t, ArcTouchLog* touched)
-      : r_(r), s_(s), t_(t), eps_(kImbalanceEps * capacity_scale(r)),
+      : r_(r), s_(s), t_(t),
+        eps_(std::max(kImbalanceEps, kImbalanceRelEps * capacity_scale(r))),
         im_(r.imbalances()), parent_arc_(r.n, -1), seen_(r.n, 0),
         touched_(touched) {
     if (touched_) arc_logged_.assign(r.cap.size(), 0);

@@ -7,28 +7,24 @@
 #include <vector>
 
 #include "flow/maxflow.hpp"
-#include "graph/csr.hpp"
 #include "graph/network.hpp"
 #include "util/cancel.hpp"
 
 namespace aflow::flow::detail {
 
 struct Residual {
-  explicit Residual(const graph::FlowNetwork& net);
-
-  /// Builds the residual of `net` carrying a prior per-edge flow (clamped
-  /// into [0, capacity], so a flow that an edit made infeasible enters as a
-  /// capacity-feasible pseudo-flow whose conservation violations the delta
-  /// repair then drains). This is the carry-over seam of the incremental
-  /// re-solve path (flow/delta.hpp).
-  Residual(const graph::FlowNetwork& net, std::span<const double> prior_flow);
-
-  /// CSR twins of the two constructors above — the huge-instance path
-  /// (core::ShardedSolver) never materialises a FlowNetwork. Throws
-  /// std::length_error when 2m overflows the int arc index (the residual is
-  /// the one structure of the sharded path still bounded by int).
-  explicit Residual(const graph::CsrGraph& g);
-  Residual(const graph::CsrGraph& g, std::span<const double> prior_flow);
+  /// Builds the residual of the edge list `edges` over `n` vertices. With an
+  /// empty `prior` it carries the zero flow; otherwise `prior` holds one
+  /// flow per edge, clamped into [0, capacity], so a flow that an edit made
+  /// infeasible enters as a capacity-feasible pseudo-flow whose
+  /// conservation violations the repair below then drains — the carry-over
+  /// seam of the incremental re-solve path (flow/delta.hpp) and of the
+  /// sharded stitch. Both graph models hand over their edge arrays
+  /// (FlowNetwork::edges(), graph::CsrGraph::edges()). Throws
+  /// std::length_error when 2m overflows the int arc index, and
+  /// std::invalid_argument when a non-empty `prior` is not one per edge.
+  Residual(int n, std::span<const graph::Edge> edges,
+           std::span<const double> prior = {});
 
   /// Residual capacity per arc; arcs 2e / 2e+1 are the forward / reverse
   /// pair of input edge e.
@@ -52,19 +48,17 @@ struct Residual {
             static_cast<size_t>(arc_start[v + 1] - arc_start[v])};
   }
 
-  /// Extracts per-input-edge flow (forward capacity consumed).
-  std::vector<double> edge_flows(const graph::FlowNetwork& net) const;
+  /// Extracts per-input-edge flow (forward capacity consumed) for the edge
+  /// list the residual was built from. Reading capacity - cap[2e] rather
+  /// than the reverse arc keeps every flow inside [0, capacity] exactly:
+  /// augmentation preserves cap[2e] + cap[2e+1] = capacity only up to
+  /// rounding on fractional capacities.
+  std::vector<double> edge_flows(std::span<const graph::Edge> edges) const;
 
   /// Flow value currently carried: net flow out of `s` (forward consumption
-  /// minus reverse consumption over s-incident arcs).
-  double flow_value_at(const graph::FlowNetwork& net, int s) const;
+  /// of s's out-edges, then minus that of its in-edges, each in edge order).
+  double flow_value_at(std::span<const graph::Edge> edges, int s) const;
 
-  /// Graph-free twins: augmentation preserves cap[2e] + cap[2e+1] =
-  /// capacity(e), so the flow on edge e is recoverable as cap[2e+1] without
-  /// consulting the input graph. These let the CSR path read results (and
-  /// the repair below find imbalances) from the residual alone.
-  std::vector<double> carried_edge_flows() const;
-  double carried_flow_at(int s) const;
   /// Conservation surplus (inflow - outflow) per vertex under the carried
   /// flow; source/sink entries are reported but are not repair targets.
   std::vector<double> imbalances() const;

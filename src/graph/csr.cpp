@@ -9,61 +9,17 @@
 namespace aflow::graph {
 
 CsrGraph::CsrGraph(int num_vertices, int source, int sink,
-                   std::vector<int> edge_from, std::vector<int> edge_to,
-                   std::vector<double> edge_cap)
+                   std::vector<Edge> edges)
     : num_vertices_(num_vertices), source_(source), sink_(sink),
-      edge_from_(std::move(edge_from)), edge_to_(std::move(edge_to)),
-      edge_cap_(std::move(edge_cap)) {
-  if (num_vertices_ < 2)
-    throw std::invalid_argument("CsrGraph: need at least source and sink");
-  if (source_ < 0 || source_ >= num_vertices_ || sink_ < 0 ||
-      sink_ >= num_vertices_)
-    throw std::invalid_argument("CsrGraph: source/sink out of range");
-  if (source_ == sink_)
-    throw std::invalid_argument("CsrGraph: source must differ from sink");
-  if (edge_from_.size() != edge_to_.size() ||
-      edge_from_.size() != edge_cap_.size())
-    throw std::invalid_argument("CsrGraph: edge array lengths differ");
-
-  const std::int64_t m = num_edges();
-  std::vector<std::int64_t> degree(static_cast<size_t>(num_vertices_) + 1, 0);
-  for (std::int64_t e = 0; e < m; ++e) {
-    const int u = edge_from_[static_cast<size_t>(e)];
-    const int v = edge_to_[static_cast<size_t>(e)];
-    if (u < 0 || u >= num_vertices_ || v < 0 || v >= num_vertices_)
-      throw std::invalid_argument("CsrGraph: edge endpoint out of range");
-    if (u == v)
-      throw std::invalid_argument("CsrGraph: self loops not supported");
-    if (!(edge_cap_[static_cast<size_t>(e)] > 0.0))
-      throw std::invalid_argument("CsrGraph: capacity must be positive");
-    ++degree[static_cast<size_t>(u) + 1];
-    ++degree[static_cast<size_t>(v) + 1];
-  }
-  for (int v = 0; v < num_vertices_; ++v)
-    degree[static_cast<size_t>(v) + 1] += degree[static_cast<size_t>(v)];
-  arc_start_ = degree; // prefix sums; degree reused below as a write cursor
-  arc_ids_.resize(static_cast<size_t>(2) * static_cast<size_t>(m));
-  for (std::int64_t e = 0; e < m; ++e) {
-    const int u = edge_from_[static_cast<size_t>(e)];
-    const int v = edge_to_[static_cast<size_t>(e)];
-    arc_ids_[static_cast<size_t>(degree[static_cast<size_t>(u)]++)] = 2 * e;
-    arc_ids_[static_cast<size_t>(degree[static_cast<size_t>(v)]++)] =
-        2 * e + 1;
-  }
+      edges_(std::move(edges)) {
+  check_terminals(num_vertices_, source_, sink_, "CsrGraph");
+  for (const Edge& e : edges_) check_edge(e, num_vertices_, "CsrGraph");
 }
 
 CsrGraph CsrGraph::from_network(const FlowNetwork& net) {
-  const size_t m = static_cast<size_t>(net.num_edges());
-  std::vector<int> from(m), to(m);
-  std::vector<double> cap(m);
-  for (size_t e = 0; e < m; ++e) {
-    const Edge& ed = net.edge(static_cast<int>(e));
-    from[e] = ed.from;
-    to[e] = ed.to;
-    cap[e] = ed.capacity;
-  }
+  const auto edges = net.edges();
   return CsrGraph(net.num_vertices(), net.source(), net.sink(),
-                  std::move(from), std::move(to), std::move(cap));
+                  std::vector<Edge>(edges.begin(), edges.end()));
 }
 
 FlowNetwork CsrGraph::to_network() const {
@@ -71,70 +27,61 @@ FlowNetwork CsrGraph::to_network() const {
     throw std::length_error(
         "CsrGraph::to_network: edge count exceeds FlowNetwork's int range; "
         "keep the instance in CSR form");
-  FlowNetwork net(num_vertices_, source_, sink_);
-  for (std::int64_t e = 0; e < num_edges(); ++e)
-    net.add_edge(edge_from_[static_cast<size_t>(e)],
-                 edge_to_[static_cast<size_t>(e)],
-                 edge_cap_[static_cast<size_t>(e)]);
-  return net;
+  return FlowNetwork(num_vertices_, source_, sink_, edges_);
 }
 
 double CsrGraph::source_out_capacity() const {
   double total = 0.0;
-  for (std::int64_t a : arcs(source_))
-    if (arc_is_out(a)) total += edge_cap_[static_cast<size_t>(arc_edge(a))];
+  for (const Edge& e : edges_)
+    if (e.from == source_) total += e.capacity;
   return total;
 }
 
 double CsrGraph::sink_in_capacity() const {
   double total = 0.0;
-  for (std::int64_t a : arcs(sink_))
-    if (!arc_is_out(a)) total += edge_cap_[static_cast<size_t>(arc_edge(a))];
+  for (const Edge& e : edges_)
+    if (e.to == sink_) total += e.capacity;
   return total;
 }
 
-std::size_t CsrGraph::memory_bytes() const {
-  return edge_from_.capacity() * sizeof(int) +
-         edge_to_.capacity() * sizeof(int) +
-         edge_cap_.capacity() * sizeof(double) +
-         arc_start_.capacity() * sizeof(std::int64_t) +
-         arc_ids_.capacity() * sizeof(std::int64_t);
-}
-
-std::string check_csr_flow(const CsrGraph& g, std::span<const double> edge_flow,
-                           double flow_value, double tol) {
-  const std::int64_t m = g.num_edges();
-  if (static_cast<std::int64_t>(edge_flow.size()) != m)
+std::string check_edge_flow(int num_vertices, int source, int sink,
+                            std::span<const Edge> edges,
+                            std::span<const double> edge_flow,
+                            double flow_value, double tol) {
+  if (edge_flow.size() != edges.size())
     return "edge_flow has " + std::to_string(edge_flow.size()) +
-           " entries for " + std::to_string(m) + " edges";
-  for (std::int64_t e = 0; e < m; ++e) {
-    const double f = edge_flow[static_cast<size_t>(e)];
+           " entries for " + std::to_string(edges.size()) + " edges";
+  // One accumulator pass over the edge list instead of n incidence walks:
+  // cheaper, and touches each flow entry once.
+  std::vector<double> net_out(static_cast<size_t>(num_vertices), 0.0);
+  for (size_t e = 0; e < edges.size(); ++e) {
+    const double f = edge_flow[e];
     if (f < -tol)
       return "edge " + std::to_string(e) + ": negative flow " +
              std::to_string(f);
-    if (f > g.edge_capacity(e) + tol)
+    if (f > edges[e].capacity + tol)
       return "edge " + std::to_string(e) + ": flow " + std::to_string(f) +
-             " exceeds capacity " + std::to_string(g.edge_capacity(e));
+             " exceeds capacity " + std::to_string(edges[e].capacity);
+    net_out[static_cast<size_t>(edges[e].from)] += f;
+    net_out[static_cast<size_t>(edges[e].to)] -= f;
   }
-  // One accumulator pass over the edge list instead of n incidence walks:
-  // cheaper and touches each flow entry exactly twice.
-  std::vector<double> net_out(static_cast<size_t>(g.num_vertices()), 0.0);
-  for (std::int64_t e = 0; e < m; ++e) {
-    const double f = edge_flow[static_cast<size_t>(e)];
-    net_out[static_cast<size_t>(g.edge_from(e))] += f;
-    net_out[static_cast<size_t>(g.edge_to(e))] -= f;
-  }
-  for (int v = 0; v < g.num_vertices(); ++v) {
-    if (v == g.source() || v == g.sink()) continue;
+  for (int v = 0; v < num_vertices; ++v) {
+    if (v == source || v == sink) continue;
     if (std::abs(net_out[static_cast<size_t>(v)]) > tol)
       return "vertex " + std::to_string(v) + ": conservation violated by " +
              std::to_string(net_out[static_cast<size_t>(v)]);
   }
-  if (std::abs(net_out[static_cast<size_t>(g.source())] - flow_value) > tol)
+  if (std::abs(net_out[static_cast<size_t>(source)] - flow_value) > tol)
     return "source outflow " +
-           std::to_string(net_out[static_cast<size_t>(g.source())]) +
+           std::to_string(net_out[static_cast<size_t>(source)]) +
            " != claimed value " + std::to_string(flow_value);
   return {};
+}
+
+std::string check_csr_flow(const CsrGraph& g, std::span<const double> edge_flow,
+                           double flow_value, double tol) {
+  return check_edge_flow(g.num_vertices(), g.source(), g.sink(), g.edges(),
+                         edge_flow, flow_value, tol);
 }
 
 } // namespace aflow::graph

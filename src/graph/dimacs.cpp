@@ -1,155 +1,87 @@
 #include "graph/dimacs.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 namespace aflow::graph {
 
-FlowNetwork read_dimacs(std::istream& in) {
-  std::string line;
-  int n = -1;
-  long long m = -1;
-  int source = -1;
-  int sink = -1;
-  struct Arc { int u, v; double cap; };
-  std::vector<Arc> arcs;
-
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    char kind = 0;
-    ls >> kind;
-    switch (kind) {
-      case 'c': break; // comment
-      case 'p': {
-        if (n != -1)
-          throw std::runtime_error(
-              "read_dimacs: duplicate problem line ('p' may appear once)");
-        std::string tag;
-        ls >> tag >> n >> m;
-        if (!ls || tag != "max")
-          throw std::runtime_error("read_dimacs: expected 'p max N M'");
-        if (n < 0 || m < 0)
-          throw std::runtime_error(
-              "read_dimacs: negative node or arc count in problem line");
-        // FlowNetwork indexes edges with int; past 2^31 arcs the counts
-        // would silently narrow. Refuse loudly and point at the path built
-        // for that scale.
-        if (m >= std::numeric_limits<int>::max())
-          throw std::runtime_error(
-              "read_dimacs: " + std::to_string(m) +
-              " arcs exceeds the in-memory FlowNetwork's int edge index; "
-              "use read_dimacs_stream for instances of this size");
-        arcs.reserve(static_cast<size_t>(m));
-        break;
-      }
-      case 'n': {
-        int v = 0;
-        char role = 0;
-        ls >> v >> role;
-        if (!ls) throw std::runtime_error("read_dimacs: malformed node line");
-        if (role == 's') {
-          if (source != -1) throw std::runtime_error("read_dimacs: duplicate source");
-          source = v - 1;
-        } else if (role == 't') {
-          if (sink != -1) throw std::runtime_error("read_dimacs: duplicate sink");
-          sink = v - 1;
-        } else {
-          throw std::runtime_error("read_dimacs: node role must be 's' or 't'");
-        }
-        break;
-      }
-      case 'a': {
-        Arc a{};
-        ls >> a.u >> a.v >> a.cap;
-        if (!ls) throw std::runtime_error("read_dimacs: malformed arc line");
-        arcs.push_back({a.u - 1, a.v - 1, a.cap});
-        break;
-      }
-      default:
-        throw std::runtime_error("read_dimacs: unknown line kind '" +
-                                 std::string(1, kind) + "'");
-    }
-  }
-  if (n < 2) throw std::runtime_error("read_dimacs: missing problem line");
-  if (source < 0 || sink < 0)
-    throw std::runtime_error("read_dimacs: missing source or sink designator");
-  if (source == sink)
-    throw std::runtime_error(
-        "read_dimacs: source and sink designate the same node " +
-        std::to_string(source + 1));
-  if (static_cast<long long>(arcs.size()) != m)
-    throw std::runtime_error(
-        "read_dimacs: problem line declares " + std::to_string(m) +
-        " arcs but the file contains " + std::to_string(arcs.size()));
-
-  FlowNetwork net(n, source, sink);
-  for (const auto& a : arcs) {
-    if (a.u < 0 || a.u >= n || a.v < 0 || a.v >= n)
-      throw std::runtime_error("read_dimacs: arc endpoint out of range");
-    if (a.u == a.v) continue; // self loops carry no s-t flow; drop silently
-    if (a.cap <= 0.0) continue; // zero-capacity arcs are no-ops
-    net.add_edge(a.u, a.v, a.cap);
-  }
-  return net;
-}
-
-FlowNetwork read_dimacs_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("read_dimacs_file: cannot open " + path);
-  return read_dimacs(in);
-}
-
 namespace {
 
+bool is_ws(char c) { return c == ' ' || c == '\t' || c == '\r'; }
+
 const char* skip_ws(const char* p, const char* end) {
-  while (p != end && (*p == ' ' || *p == '\t' || *p == '\r')) ++p;
+  while (p != end && is_ws(*p)) ++p;
   return p;
 }
 
+// Every numeric field is a whole whitespace-delimited token: "1s", "2.5" as
+// a node id, or "7x" are malformed, not silently cut short.
 bool parse_i64(const char*& p, const char* end, std::int64_t& out) {
   p = skip_ws(p, end);
   const auto [next, ec] = std::from_chars(p, end, out);
-  if (ec != std::errc()) return false;
+  if (ec != std::errc() || (next != end && !is_ws(*next))) return false;
   p = next;
   return true;
 }
 
-// The capacity field is the last token of an arc line and the line buffer is
-// NUL-terminated, so strtod's unbounded scan is safe; from_chars for doubles
-// is still spotty across the toolchains CI builds with.
+// A capacity token is a finite decimal number: the character filter keeps
+// strtod away from "inf", "nan" and hex floats. The line buffer is
+// NUL-terminated and the token ends at whitespace or the line end, so
+// strtod's unbounded scan stays inside it; from_chars for doubles is still
+// spotty across the toolchains CI builds with.
 bool parse_cap(const char*& p, const char* end, double& out) {
-  p = skip_ws(p, end);
+  const char* tok = skip_ws(p, end);
+  const char* tok_end = tok;
+  while (tok_end != end && !is_ws(*tok_end)) {
+    const char c = *tok_end++;
+    if (!((c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
+          c == '+' || c == '-'))
+      return false;
+  }
   char* next = nullptr;
   errno = 0;
-  out = std::strtod(p, &next);
-  if (next == p || errno == ERANGE) return false;
-  p = next;
+  out = std::strtod(tok, &next);
+  if (tok == tok_end || next != tok_end || errno == ERANGE ||
+      !std::isfinite(out))
+    return false;
+  p = tok_end;
   return true;
 }
 
-} // namespace
+// Beyond this many declared arcs the edge array grows on demand instead of
+// being reserved up front, so a corrupt problem line cannot demand an
+// arbitrary allocation before a single arc is read.
+constexpr std::int64_t kMaxReservedArcs = std::int64_t{1} << 26;
 
-CsrGraph read_dimacs_stream(std::istream& in) {
+struct ParsedDimacs {
+  int n = -1;
+  int source = -1;
+  int sink = -1;
+  std::vector<Edge> edges;
+};
+
+/// The one DIMACS parser. `who` prefixes every error message; problem lines
+/// declaring more than `max_arcs` arcs are refused before any arc is read.
+ParsedDimacs parse_dimacs(std::istream& in, const char* who,
+                          std::int64_t max_arcs) {
   std::string line;
   std::int64_t n = -1, m = -1, arcs_seen = 0;
   long long lineno = 0;
-  int source = -1, sink = -1;
-  std::vector<int> from, to;
-  std::vector<double> cap;
+  ParsedDimacs out;
 
   // Every parse error names the offending 1-based line so a truncated or
   // corrupted multi-gigabyte file can be diagnosed without a binary search.
   const auto fail = [&](const std::string& what) -> void {
-    throw std::runtime_error("read_dimacs_stream: " + what + " at line " +
+    throw std::runtime_error(std::string(who) + ": " + what + " at line " +
                              std::to_string(lineno));
   };
 
@@ -166,50 +98,57 @@ CsrGraph read_dimacs_stream(std::istream& in) {
       case 'p': {
         if (n != -1) fail("duplicate problem line");
         p = skip_ws(p, end);
-        if (end - p < 3 || p[0] != 'm' || p[1] != 'a' || p[2] != 'x')
+        if (end - p < 4 || p[0] != 'm' || p[1] != 'a' || p[2] != 'x' ||
+            !is_ws(p[3]))
           fail("expected 'p max N M'");
         p += 3;
         if (!parse_i64(p, end, n) || !parse_i64(p, end, m) || n < 0 || m < 0)
           fail("expected 'p max N M'");
+        if (n < 2) fail("need at least 2 nodes (source and sink)");
         if (n >= std::numeric_limits<int>::max())
           fail("node count " + std::to_string(n) +
                " exceeds the int vertex index");
-        from.reserve(static_cast<size_t>(m));
-        to.reserve(static_cast<size_t>(m));
-        cap.reserve(static_cast<size_t>(m));
+        if (m > max_arcs)
+          fail(std::to_string(m) +
+               " arcs exceeds the in-memory FlowNetwork's int edge index; "
+               "use read_dimacs_stream for instances of this size");
+        out.edges.reserve(
+            static_cast<size_t>(std::min(m, kMaxReservedArcs)));
         break;
       }
       case 'n': {
+        if (n < 0) fail("node line before problem line");
         std::int64_t v = 0;
-        p = skip_ws(p, end);
         if (!parse_i64(p, end, v)) fail("malformed node line");
+        if (v < 1 || v > n)
+          fail("node id " + std::to_string(v) + " outside [1, " +
+               std::to_string(n) + "]");
         p = skip_ws(p, end);
         if (p == end) fail("malformed node line");
-        if (*p == 's') {
-          if (source != -1) fail("duplicate source");
-          source = static_cast<int>(v - 1);
-        } else if (*p == 't') {
-          if (sink != -1) fail("duplicate sink");
-          sink = static_cast<int>(v - 1);
-        } else {
-          fail("node role must be 's' or 't'");
-        }
+        if (*p != 's' && *p != 't') fail("node role must be 's' or 't'");
+        int& terminal = *p == 's' ? out.source : out.sink;
+        if (terminal != -1)
+          fail(*p == 's' ? "duplicate source" : "duplicate sink");
+        terminal = static_cast<int>(v - 1);
         break;
       }
       case 'a': {
         std::int64_t u = 0, v = 0;
         double c = 0.0;
         if (!parse_i64(p, end, u) || !parse_i64(p, end, v) ||
-            !parse_cap(p, end, c))
+            skip_ws(p, end) == end)
           fail("malformed arc line (truncated mid-line?)");
+        if (!parse_cap(p, end, c))
+          fail("capacity is not a finite decimal number");
         if (n < 0) fail("arc line before problem line");
         if (u < 1 || u > n || v < 1 || v > n)
           fail("arc endpoint out of range");
         ++arcs_seen;
-        if (u == v || c <= 0.0) break; // same skip semantics as read_dimacs
-        from.push_back(static_cast<int>(u - 1));
-        to.push_back(static_cast<int>(v - 1));
-        cap.push_back(c);
+        // Self loops carry no s-t flow and zero-capacity arcs are no-ops:
+        // both are dropped, but still count against the declared total.
+        if (u == v || c <= 0.0) break;
+        out.edges.push_back(
+            {static_cast<int>(u - 1), static_cast<int>(v - 1), c});
         break;
       }
       default:
@@ -218,22 +157,42 @@ CsrGraph read_dimacs_stream(std::istream& in) {
   }
   if (in.bad())
     fail("stream read error (I/O failure mid-file)");
-  if (n < 2)
-    throw std::runtime_error("read_dimacs_stream: missing problem line");
-  if (source < 0 || sink < 0)
+  if (n < 0)
+    throw std::runtime_error(std::string(who) + ": missing problem line");
+  if (out.source < 0 || out.sink < 0)
     fail("missing source or sink designator");
-  if (source == sink)
+  if (out.source == out.sink)
     fail("source and sink designate the same node " +
-         std::to_string(source + 1));
+         std::to_string(out.source + 1));
   // The declared-vs-seen reconciliation is what catches a file truncated at
   // a line boundary (every surviving line parses; arcs are just missing).
   if (arcs_seen != m)
     throw std::runtime_error(
-        "read_dimacs_stream: problem line declares " + std::to_string(m) +
+        std::string(who) + ": problem line declares " + std::to_string(m) +
         " arcs but the file contains " + std::to_string(arcs_seen) +
         " (input truncated after line " + std::to_string(lineno) + "?)");
-  return CsrGraph(static_cast<int>(n), source, sink, std::move(from),
-                  std::move(to), std::move(cap));
+  out.n = static_cast<int>(n);
+  return out;
+}
+
+} // namespace
+
+FlowNetwork read_dimacs(std::istream& in) {
+  ParsedDimacs p = parse_dimacs(in, "read_dimacs",
+                                std::numeric_limits<int>::max() - 1);
+  return FlowNetwork(p.n, p.source, p.sink, std::move(p.edges));
+}
+
+FlowNetwork read_dimacs_file(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) throw std::runtime_error("read_dimacs_file: cannot open " + path);
+  return read_dimacs(in);
+}
+
+CsrGraph read_dimacs_stream(std::istream& in) {
+  ParsedDimacs p = parse_dimacs(in, "read_dimacs_stream",
+                                std::numeric_limits<std::int64_t>::max());
+  return CsrGraph(p.n, p.source, p.sink, std::move(p.edges));
 }
 
 CsrGraph read_dimacs_stream_file(const std::string& path) {

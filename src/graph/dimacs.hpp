@@ -11,19 +11,22 @@
 
 namespace aflow::graph {
 
-/// Parses a DIMACS max-flow problem. Throws std::runtime_error on malformed
-/// input (missing problem line, bad arc endpoints, duplicate node
-/// designators, ...). Refuses instances with >= 2^31 arcs — those only fit
-/// the streaming CSR path (read_dimacs_stream).
+/// Parses a DIMACS max-flow problem into a FlowNetwork. One parser serves
+/// both readers below: a single pass over a reused line buffer with
+/// std::from_chars field parsing, filling one graph::Edge array. Throws
+/// std::runtime_error naming the offending line on malformed input (missing
+/// or duplicate problem line, node or arc ids outside [1, N], duplicate
+/// node designators, non-numeric or non-finite capacities, declared arc
+/// count not matching the a-lines seen, ...). Self loops and non-positive
+/// capacities are dropped, but still count towards the declared arc count.
+/// read_dimacs refuses instances with >= 2^31 arcs — those only fit the
+/// streaming CSR path (read_dimacs_stream).
 FlowNetwork read_dimacs(std::istream& in);
 FlowNetwork read_dimacs_file(const std::string& path);
 
-/// Streaming reader for huge instances: one pass, a reused line buffer with
-/// std::from_chars field parsing (no istringstream churn), arc arrays
-/// preallocated from the problem line, and 64-bit arc counts throughout.
-/// Skip semantics match read_dimacs (self loops and non-positive capacities
-/// are dropped). Returns the compact CSR view instead of a FlowNetwork so a
-/// million-node instance never pays the per-vertex adjacency-vector tax.
+/// The same parse, returned as the compact CsrGraph view with 64-bit arc
+/// counts, so a million-node instance never pays the per-vertex
+/// adjacency-vector tax.
 CsrGraph read_dimacs_stream(std::istream& in);
 CsrGraph read_dimacs_stream_file(const std::string& path);
 

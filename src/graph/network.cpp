@@ -4,27 +4,61 @@
 #include <limits>
 #include <queue>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace aflow::graph {
 
-FlowNetwork::FlowNetwork(int num_vertices, int source, int sink)
-    : num_vertices_(num_vertices), source_(source), sink_(sink),
-      out_(num_vertices), in_(num_vertices) {
+void check_terminals(int num_vertices, int source, int sink, const char* who) {
   if (num_vertices < 2)
-    throw std::invalid_argument("FlowNetwork: need at least source and sink");
+    throw std::invalid_argument(std::string(who) +
+                                ": need at least source and sink");
   if (source < 0 || source >= num_vertices || sink < 0 || sink >= num_vertices)
-    throw std::invalid_argument("FlowNetwork: source/sink out of range");
+    throw std::invalid_argument(std::string(who) +
+                                ": source/sink out of range");
   if (source == sink)
-    throw std::invalid_argument("FlowNetwork: source must differ from sink");
+    throw std::invalid_argument(std::string(who) +
+                                ": source must differ from sink");
+}
+
+void check_edge(const Edge& e, int num_vertices, const char* who) {
+  if (e.from < 0 || e.from >= num_vertices || e.to < 0 ||
+      e.to >= num_vertices)
+    throw std::invalid_argument(std::string(who) + ": vertex out of range");
+  if (e.from == e.to)
+    throw std::invalid_argument(std::string(who) +
+                                ": self loops not supported");
+  if (!(e.capacity > 0.0))
+    throw std::invalid_argument(std::string(who) +
+                                ": capacity must be positive");
+}
+
+FlowNetwork::FlowNetwork(int num_vertices, int source, int sink)
+    : num_vertices_(num_vertices), source_(source), sink_(sink) {
+  check_terminals(num_vertices, source, sink, "FlowNetwork");
+  out_.resize(static_cast<size_t>(num_vertices));
+  in_.resize(static_cast<size_t>(num_vertices));
+}
+
+FlowNetwork::FlowNetwork(int num_vertices, int source, int sink,
+                         std::vector<Edge> edges)
+    : FlowNetwork(num_vertices, source, sink) {
+  // num_edges() narrows edges_.size() to int.
+  if (edges.size() > static_cast<size_t>(std::numeric_limits<int>::max()))
+    throw std::length_error(
+        "FlowNetwork: edge count exceeds the int index limit; "
+        "instances of this size belong in graph::CsrGraph");
+  for (size_t id = 0; id < edges.size(); ++id) {
+    const Edge& e = edges[id];
+    check_edge(e, num_vertices_, "FlowNetwork");
+    out_[e.from].push_back(static_cast<int>(id));
+    in_[e.to].push_back(static_cast<int>(id));
+  }
+  edges_ = std::move(edges);
 }
 
 int FlowNetwork::add_edge(int from, int to, double capacity) {
-  if (from < 0 || from >= num_vertices_ || to < 0 || to >= num_vertices_)
-    throw std::invalid_argument("FlowNetwork::add_edge: vertex out of range");
-  if (from == to)
-    throw std::invalid_argument("FlowNetwork::add_edge: self loops not supported");
-  if (!(capacity > 0.0))
-    throw std::invalid_argument("FlowNetwork::add_edge: capacity must be positive");
+  check_edge({from, to, capacity}, num_vertices_, "FlowNetwork::add_edge");
   // num_edges() narrows edges_.size() to int; refuse the edge that would
   // make that cast wrap instead of silently corrupting every index after it.
   if (edges_.size() >=
@@ -55,13 +89,8 @@ double FlowNetwork::max_capacity() const {
 }
 
 void FlowNetwork::validate() const {
-  if (num_vertices_ < 2) throw std::invalid_argument("FlowNetwork: too few vertices");
-  if (source_ == sink_) throw std::invalid_argument("FlowNetwork: source == sink");
-  for (const Edge& e : edges_) {
-    if (e.from == e.to) throw std::invalid_argument("FlowNetwork: self loop");
-    if (!(e.capacity > 0.0))
-      throw std::invalid_argument("FlowNetwork: non-positive capacity");
-  }
+  check_terminals(num_vertices_, source_, sink_, "FlowNetwork");
+  for (const Edge& e : edges_) check_edge(e, num_vertices_, "FlowNetwork");
 }
 
 std::vector<char> reachable_from(const FlowNetwork& net, int start) {

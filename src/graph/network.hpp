@@ -18,6 +18,14 @@ struct Edge {
   double capacity = 0.0;
 };
 
+/// Instance validation shared by FlowNetwork and CsrGraph; each throws
+/// std::invalid_argument with a message prefixed by `who`.
+/// check_terminals: at least two vertices, source and sink in range and
+/// distinct. check_edge: both endpoints in [0, num_vertices), no self loop,
+/// a positive capacity.
+void check_terminals(int num_vertices, int source, int sink, const char* who);
+void check_edge(const Edge& e, int num_vertices, const char* who);
+
 /// A directed graph with distinguished source/sink and edge capacities.
 /// Parallel edges are allowed; self-loops are rejected (they cannot carry
 /// s-t flow and the crossbar has no diagonal widgets for them).
@@ -25,6 +33,9 @@ class FlowNetwork {
  public:
   FlowNetwork() = default;
   FlowNetwork(int num_vertices, int source, int sink);
+  /// Adopts a whole edge list (edge order preserved), with the same checks
+  /// as add_edge per edge.
+  FlowNetwork(int num_vertices, int source, int sink, std::vector<Edge> edges);
 
   /// Adds a directed edge and returns its index.
   int add_edge(int from, int to, double capacity);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "flow/maxflow.hpp"
+#include "flow/residual.hpp"
 #include "graph/generators.hpp"
 
 namespace flow = aflow::flow;
@@ -174,4 +175,31 @@ TEST(CheckFlow, DetectsViolations) {
   bad = r;
   bad.flow_value += 1.0; // wrong value
   EXPECT_NE(flow::check_flow(g, bad), "");
+}
+
+TEST(Residual, EdgeFlowReadersAgreeOnIntegralCapacities) {
+  // The residual reads edge e's flow as capacity - cap[2e]. Augmentation
+  // moves the same amount across both arcs of a pair, so on integral
+  // capacities that equals the reverse arc's residual cap[2e+1] exactly
+  // (on fractional ones the two differ by rounding, which is why the
+  // capacity-based reader is the one kept).
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const auto net = graph::uniform_random(60, 400, 50, seed);
+    for (const bool push_relabel : {false, true}) {
+      flow::detail::Residual r(net.num_vertices(), net.edges());
+      long long ops = 0;
+      if (push_relabel)
+        flow::detail::push_relabel_augment(r, net.source(), net.sink());
+      else
+        flow::detail::dinic_augment(r, net.source(), net.sink(), ops);
+      const std::vector<double> flows = r.edge_flows(net.edges());
+      double value = 0.0;
+      for (int e = 0; e < net.num_edges(); ++e) {
+        EXPECT_EQ(flows[e], r.cap[2 * static_cast<size_t>(e) + 1]) << e;
+        if (net.edge(e).from == net.source()) value += flows[e];
+        if (net.edge(e).to == net.source()) value -= flows[e];
+      }
+      EXPECT_EQ(r.flow_value_at(net.edges(), net.source()), value);
+    }
+  }
 }

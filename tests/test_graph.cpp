@@ -1,7 +1,12 @@
 // Flow networks, generators, DIMACS I/O.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <sstream>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "graph/dimacs.hpp"
 #include "graph/generators.hpp"
@@ -231,22 +236,10 @@ TEST(Csr, RoundTripsThroughFlowNetwork) {
   EXPECT_EQ(g.source(), net.source());
   EXPECT_EQ(g.sink(), net.sink());
   for (int e = 0; e < net.num_edges(); ++e) {
-    EXPECT_EQ(g.edge_from(e), net.edge(e).from);
-    EXPECT_EQ(g.edge_to(e), net.edge(e).to);
-    EXPECT_DOUBLE_EQ(g.edge_capacity(e), net.edge(e).capacity);
+    EXPECT_EQ(g.edge(e).from, net.edge(e).from);
+    EXPECT_EQ(g.edge(e).to, net.edge(e).to);
+    EXPECT_DOUBLE_EQ(g.edge(e).capacity, net.edge(e).capacity);
   }
-  // Incidence covers every edge endpoint exactly once per direction.
-  std::int64_t arcs = 0;
-  for (int v = 0; v < g.num_vertices(); ++v) {
-    for (const std::int64_t a : g.arcs(v)) {
-      const std::int64_t e = graph::CsrGraph::arc_edge(a);
-      EXPECT_EQ(graph::CsrGraph::arc_is_out(a) ? g.edge_from(e) : g.edge_to(e),
-                v);
-      ++arcs;
-    }
-  }
-  EXPECT_EQ(arcs, 2 * g.num_edges());
-
   const graph::FlowNetwork back = g.to_network();
   ASSERT_EQ(back.num_edges(), net.num_edges());
   for (int e = 0; e < net.num_edges(); ++e) {
@@ -261,13 +254,13 @@ TEST(Csr, RoundTripsThroughFlowNetwork) {
 }
 
 TEST(Csr, RejectsMalformedEdges) {
-  EXPECT_THROW(graph::CsrGraph(3, 0, 2, {0}, {0}, {1.0}),
+  EXPECT_THROW(graph::CsrGraph(3, 0, 2, {{0, 0, 1.0}}),
                std::invalid_argument); // self loop
-  EXPECT_THROW(graph::CsrGraph(3, 0, 2, {0}, {1}, {0.0}),
+  EXPECT_THROW(graph::CsrGraph(3, 0, 2, {{0, 1, 0.0}}),
                std::invalid_argument); // non-positive capacity
-  EXPECT_THROW(graph::CsrGraph(3, 0, 2, {0}, {7}, {1.0}),
+  EXPECT_THROW(graph::CsrGraph(3, 0, 2, {{0, 7, 1.0}}),
                std::invalid_argument); // endpoint out of range
-  EXPECT_THROW(graph::CsrGraph(1, 0, 0, {}, {}, {}),
+  EXPECT_THROW(graph::CsrGraph(1, 0, 0, {}),
                std::invalid_argument); // source == sink
 }
 
@@ -285,9 +278,9 @@ TEST(Dimacs, StreamReaderMatchesClassicReader) {
   EXPECT_EQ(streamed.source(), classic.source());
   EXPECT_EQ(streamed.sink(), classic.sink());
   for (int e = 0; e < classic.num_edges(); ++e) {
-    EXPECT_EQ(streamed.edge_from(e), classic.edge(e).from);
-    EXPECT_EQ(streamed.edge_to(e), classic.edge(e).to);
-    EXPECT_EQ(streamed.edge_capacity(e), classic.edge(e).capacity);
+    EXPECT_EQ(streamed.edge(e).from, classic.edge(e).from);
+    EXPECT_EQ(streamed.edge(e).to, classic.edge(e).to);
+    EXPECT_EQ(streamed.edge(e).capacity, classic.edge(e).capacity);
   }
 }
 
@@ -309,7 +302,7 @@ TEST(Dimacs, StreamReaderSkipSemanticsMatchClassicReader) {
   const graph::CsrGraph streamed = graph::read_dimacs_stream(stream_in);
   EXPECT_EQ(classic.num_edges(), 2);
   EXPECT_EQ(streamed.num_edges(), 2);
-  EXPECT_EQ(streamed.edge_to(1), 3);
+  EXPECT_EQ(streamed.edge(1).to, 3);
 }
 
 TEST(Dimacs, StreamReaderRejectsMalformedInput) {
@@ -375,6 +368,169 @@ TEST(Dimacs, ClassicReaderRefusesHugeArcCounts) {
   }
 }
 
+namespace {
+
+/// Both readers must reject `text` with a std::runtime_error that names
+/// 1-based line `line`.
+void expect_rejected_at(const std::string& text, int line) {
+  const std::string where = "line " + std::to_string(line);
+  for (const bool stream : {false, true}) {
+    std::stringstream ss(text);
+    try {
+      if (stream)
+        graph::read_dimacs_stream(ss);
+      else
+        graph::read_dimacs(ss);
+      ADD_FAILURE() << (stream ? "read_dimacs_stream" : "read_dimacs")
+                    << " accepted:\n" << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(where), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+} // namespace
+
+TEST(Dimacs, RejectsNodeIdBeyondInt) {
+  // 4294967297 = 2^32 + 1 once truncated to vertex 1.
+  expect_rejected_at("p max 3 2\nn 4294967297 s\nn 3 t\na 1 2 7\na 2 3 4\n",
+                     2);
+}
+
+TEST(Dimacs, RejectsNodeIdZero) {
+  // Node 0 does not exist (ids are 1-based); it must not become an "unset"
+  // source that a second source line then silently replaces.
+  expect_rejected_at(
+      "p max 3 2\nn 0 s\nn 1 s\nn 3 t\na 1 2 7\na 2 3 4\n", 2);
+}
+
+TEST(Dimacs, RejectsNodeIdAboveProblemSize) {
+  expect_rejected_at("p max 3 2\nn 99 s\nn 3 t\na 1 2 7\na 2 3 4\n", 2);
+}
+
+TEST(Dimacs, RejectsInfiniteCapacity) {
+  expect_rejected_at("p max 3 2\nn 1 s\nn 3 t\na 1 3 inf\na 2 3 4\n", 4);
+}
+
+TEST(Dimacs, RejectsNanCapacity) {
+  expect_rejected_at("p max 3 2\nn 1 s\nn 3 t\na 1 3 nan\na 2 3 4\n", 4);
+}
+
+namespace {
+
+/// One reader's verdict on a DIMACS text: the instance it returned, or that
+/// it threw std::runtime_error. Any other exception is a finding.
+struct ReadOutcome {
+  bool ok = false;
+  int n = 0, source = 0, sink = 0;
+  std::vector<std::tuple<int, int, double>> edges;
+  std::string other_exception;
+
+  bool operator==(const ReadOutcome&) const = default;
+};
+
+template <typename Read>
+ReadOutcome read_outcome(Read read, const std::string& text) {
+  ReadOutcome out;
+  std::stringstream ss(text);
+  try {
+    const auto g = read(ss);
+    out.ok = true;
+    out.n = g.num_vertices();
+    out.source = g.source();
+    out.sink = g.sink();
+    for (const graph::Edge& e : g.edges())
+      out.edges.emplace_back(e.from, e.to, e.capacity);
+  } catch (const std::runtime_error&) {
+  } catch (const std::exception& e) {
+    out.other_exception = e.what();
+  }
+  return out;
+}
+
+/// Feeds `text` to both readers: they must agree on the edge list, or both
+/// throw std::runtime_error. Returns whether the text was accepted.
+bool expect_readers_agree(const std::string& text) {
+  const ReadOutcome net = read_outcome(
+      [](std::istream& in) { return graph::read_dimacs(in); }, text);
+  const ReadOutcome csr = read_outcome(
+      [](std::istream& in) { return graph::read_dimacs_stream(in); }, text);
+  EXPECT_EQ(net.other_exception, "") << text;
+  EXPECT_EQ(csr.other_exception, "") << text;
+  EXPECT_TRUE(net == csr) << "readers disagree on:\n" << text;
+  return net.ok;
+}
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::stringstream ss(text);
+  for (std::string line; std::getline(ss, line);) lines.push_back(line + "\n");
+  return lines;
+}
+
+} // namespace
+
+TEST(Dimacs, ReadersAgreeOnByteMutations) {
+  // Seeded and deterministic: a small instance, then a few thousand mutants
+  // of 1-3 byte flips, truncations, duplicated and deleted lines each. Every
+  // mutant must be read identically by both readers or rejected by both
+  // with std::runtime_error — no other exception, no crash (this test also
+  // runs under the sanitize preset).
+  std::stringstream base_ss;
+  base_ss << "c mutation corpus\n";
+  graph::write_dimacs(base_ss, graph::uniform_random(8, 20, 9, 3));
+  const std::string base = base_ss.str();
+  for (const std::string known :
+       {"p max 3 2\nn 4294967297 s\nn 3 t\na 1 2 7\na 2 3 4\n",
+        "p max 3 2\nn 0 s\nn 1 s\nn 3 t\na 1 2 7\na 2 3 4\n",
+        "p max 3 2\nn 99 s\nn 3 t\na 1 2 7\na 2 3 4\n",
+        "p max 3 2\nn 1 s\nn 3 t\na 1 3 inf\na 2 3 4\n",
+        "p max 3 2\nn 1 s\nn 3 t\na 1 3 nan\na 2 3 4\n"})
+    expect_readers_agree(known);
+
+  const std::string alphabet = "0123456789 \n\t\r-+.eExacnpst";
+  std::mt19937_64 rng(20240607);
+  const auto pick = [&rng](size_t n) {
+    return static_cast<size_t>(rng() % std::max<size_t>(n, 1));
+  };
+  int accepted = 0, rejected = 0;
+  for (int i = 0; i < 4000; ++i) {
+    std::string text = base;
+    const int mutations = 1 + static_cast<int>(pick(3));
+    for (int k = 0; k < mutations && !text.empty(); ++k) {
+      switch (pick(4)) {
+        case 0: { // byte flip: a format character, NUL, or any byte
+          const size_t r = pick(alphabet.size() + 2);
+          text[pick(text.size())] =
+              r < alphabet.size()    ? alphabet[r]
+              : r == alphabet.size() ? '\0'
+                                     : static_cast<char>(rng() & 0xff);
+          break;
+        }
+        case 1: // truncation
+          text.resize(pick(text.size()));
+          break;
+        default: { // duplicate or delete one line
+          std::vector<std::string> lines = split_lines(text);
+          const size_t at = pick(lines.size());
+          if (lines.empty()) break;
+          if (rng() & 1)
+            lines.insert(lines.begin() + static_cast<long>(at), lines[at]);
+          else
+            lines.erase(lines.begin() + static_cast<long>(at));
+          text.clear();
+          for (const std::string& l : lines) text += l;
+        }
+      }
+    }
+    (expect_readers_agree(text) ? accepted : rejected)++;
+    if (HasFailure()) break; // one reported mutant is enough to debug
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
+}
+
 TEST(Generators, GridflowIsDeterministicAndWellFormed) {
   const auto a = graph::gridflow(6, 9, 16, 3);
   const auto b = graph::gridflow(6, 9, 16, 3);
@@ -409,9 +565,9 @@ TEST(Generators, GridflowDimacsRenditionIsEdgeForEdgeIdentical) {
   EXPECT_EQ(streamed.source(), net.source());
   EXPECT_EQ(streamed.sink(), net.sink());
   for (int e = 0; e < net.num_edges(); ++e) {
-    EXPECT_EQ(streamed.edge_from(e), net.edge(e).from) << e;
-    EXPECT_EQ(streamed.edge_to(e), net.edge(e).to) << e;
-    EXPECT_EQ(streamed.edge_capacity(e), net.edge(e).capacity) << e;
+    EXPECT_EQ(streamed.edge(e).from, net.edge(e).from) << e;
+    EXPECT_EQ(streamed.edge(e).to, net.edge(e).to) << e;
+    EXPECT_EQ(streamed.edge(e).capacity, net.edge(e).capacity) << e;
   }
 }
 

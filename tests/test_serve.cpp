@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "core/serve_engine.hpp"
+#include "flow/maxflow.hpp"
 
 namespace core = aflow::core;
 
@@ -221,4 +223,53 @@ TEST(ServeEngine, BatchRequestsShareThePersistentPoolAcrossRequests) {
   ASSERT_TRUE(json_bool(second, "ok")) << second;
   EXPECT_EQ(json_ll(second, "warm_started_instances"), 4) << second;
   EXPECT_EQ(json_ll(second, "pool_misses"), 0) << second;
+}
+
+TEST(ServeEngine, MetricsObjectFollowsTheCounterTable) {
+  // One counter table (flow::kMetricCounters) drives SolveMetrics::
+  // operator+= and every metrics emitter: a solve response's metrics keys
+  // are the table's names, in table order.
+  core::ServeOptions opt;
+  opt.deterministic = true;
+  core::ServeEngine engine(opt);
+  engine.handle("load --spec grid:side=4,seed=1");
+  const std::string solve = engine.handle("solve --solver dinic");
+  const std::string open = "\"metrics\":{";
+  const size_t at = solve.find(open);
+  ASSERT_NE(at, std::string::npos) << solve;
+  const size_t close = solve.find('}', at);
+  const std::string object =
+      solve.substr(at + open.size(), close - at - open.size());
+  std::vector<std::string> keys;
+  for (size_t q = object.find('"'); q != std::string::npos;) {
+    const size_t end = object.find('"', q + 1);
+    keys.push_back(object.substr(q + 1, end - q - 1));
+    const size_t comma = object.find(',', end);
+    q = comma == std::string::npos ? comma : object.find('"', comma);
+  }
+  std::vector<std::string> table;
+  for (const aflow::flow::MetricCounter& c : aflow::flow::kMetricCounters)
+    table.push_back(c.name);
+  EXPECT_EQ(keys, table) << solve;
+}
+
+TEST(ServeEngine, MetricsAccumulationSumsEveryCounter) {
+  aflow::flow::SolveMetrics total, step;
+  long long k = 1;
+  for (const aflow::flow::MetricCounter& c : aflow::flow::kMetricCounters) {
+    total.*c.field = 100 * k;
+    step.*c.field = k++;
+  }
+  step.warm_started = true;
+  total += step;
+  k = 1;
+  for (const aflow::flow::MetricCounter& c : aflow::flow::kMetricCounters) {
+    EXPECT_EQ(total.*c.field, 101 * k) << c.name;
+    ++k;
+  }
+  EXPECT_TRUE(total.warm_started);
+  // The table covers every counter: SolveMetrics is those long longs plus
+  // the warm_started flag (and its padding).
+  EXPECT_LE(sizeof(aflow::flow::SolveMetrics),
+            sizeof(long long) * (std::size(aflow::flow::kMetricCounters) + 1));
 }

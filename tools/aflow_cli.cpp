@@ -119,28 +119,13 @@ void write_bench_json(const std::string& path, const std::string& batch,
   const double iters =
       static_cast<double>(m.warm_iterations + m.cold_iterations);
   j.key("metrics").begin_object();
-  j.field("iterations", m.iterations);
-  j.field("full_factors", m.full_factors);
-  j.field("refactors", m.refactors);
-  j.field("prototype_refactors", m.prototype_refactors);
+  for (const flow::MetricCounter& c : flow::kMetricCounters)
+    j.field(c.name, m.*c.field);
   j.field("refactor_share",
           factors > 0.0 ? static_cast<double>(m.refactors) / factors : 0.0);
-  j.field("rhs_refreshes", m.rhs_refreshes);
-  j.field("warm_iterations", m.warm_iterations);
-  j.field("cold_iterations", m.cold_iterations);
   j.field("warm_share",
           iters > 0.0 ? static_cast<double>(m.warm_iterations) / iters : 0.0);
   j.field("warm_started_instances", report.warm_started_instances);
-  j.field("pool_hits", m.pool_hits);
-  j.field("pool_misses", m.pool_misses);
-  j.field("pool_evictions", m.pool_evictions);
-  j.field("delta_solves", m.delta_solves);
-  j.field("delta_fallbacks", m.delta_fallbacks);
-  j.field("edges_touched", m.edges_touched);
-  j.field("fallback_analog_digital", m.fallback_analog_digital);
-  j.field("fallback_region_retries", m.fallback_region_retries);
-  j.field("fallback_region_direct", m.fallback_region_direct);
-  j.field("fallback_pool_rebuilds", m.fallback_pool_rebuilds);
   j.end_object();
 
   j.key("per_instance").begin_array();
