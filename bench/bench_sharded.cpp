@@ -7,10 +7,10 @@
 //
 //   sharded: stream the file into a CsrGraph edge list
 //            (graph::read_dimacs_stream), partition into --shards regions,
-//            solve them through the BatchEngine worker pool, stitch +
-//            repair + refine;
+//            solve their edge-list slices with push-relabel on --threads
+//            workers, stitch + repair + refine;
 //   direct:  read the file into a FlowNetwork (graph::read_dimacs: the same
-//            parser, plus the adjacency build) and solve it cold with
+//            parser and the same edge list) and solve it cold with
 //            single-thread Dinic and with single-thread push-relabel.
 //
 // Asserts
@@ -22,7 +22,7 @@
 //   (c) the parallel region-solve stage beats a whole single-thread direct
 //       dinic by >= --min-speedup (default 2x): the region subproblems are
 //       small enough that even their *sequential* sum undercuts the direct
-//       solve, and the stage divides across BatchEngine workers. The
+//       solve, and the stage divides across the region workers. The
 //       end-to-end speedup against the *faster* of the two direct backends
 //       (push-relabel on grid families) is reported but not gated — the
 //       sequential stitch-repair tail dominates the sharded solve (see
@@ -38,7 +38,7 @@
 //       reading can be traced to the stage that set it.
 //
 //   bench_sharded [--height 1000] [--width 1000] [--cap 64] [--seed 7]
-//                 [--shards 8] [--threads 0] [--region-solver push_relabel]
+//                 [--shards 8] [--threads 0]
 //                 [--min-speedup 2.0] [--rss-budget-mb 2048]
 //                 [--dimacs FILE] [--smoke] [--json FILE]
 //
@@ -90,8 +90,6 @@ int main(int argc, char** argv) {
   const int seed = bench::arg_int(argc, argv, "--seed", 7);
   const int shards = bench::arg_int(argc, argv, "--shards", smoke ? 4 : 8);
   const int threads = bench::arg_int(argc, argv, "--threads", 0);
-  const std::string region_solver = bench::arg_string(
-      argc, argv, "--region-solver", core::ShardOptions{}.region_solver);
   const double min_speedup =
       bench::arg_double(argc, argv, "--min-speedup", smoke ? 0.0 : 2.0);
   const double rss_budget_mb =
@@ -120,7 +118,6 @@ int main(int argc, char** argv) {
   // --- Sharded pipeline first: its VmHWM reading is the gated one. -------
   core::ShardOptions opt;
   opt.shards = shards;
-  opt.region_solver = region_solver;
   opt.num_threads = threads;
   core::ShardReport rep;
   const auto sharded_t0 = std::chrono::steady_clock::now();
@@ -133,9 +130,9 @@ int main(int argc, char** argv) {
   const double sharded_s = seconds_since(solve_t0);
   const double rss_sharded = peak_rss_mb();
 
-  std::printf("sharded   %d regions (%s, %d threads): flow %.6g in %.3f s "
-              "(+%.3f s streaming)\n",
-              rep.regions, region_solver.c_str(), rep.threads_used,
+  std::printf("sharded   %d regions (push_relabel, %d threads): flow %.6g "
+              "in %.3f s (+%.3f s streaming)\n",
+              rep.regions, rep.threads_used,
               sharded.flow_value, sharded_s, stream_s);
   std::printf("          cut arcs %lld (cap %.6g), bound %.6g, stitched "
               "%.6g + refined %.6g\n",
@@ -239,7 +236,7 @@ int main(int argc, char** argv) {
   j.field("vertices", g.num_vertices());
   j.field("edges", static_cast<long long>(g.num_edges()));
   j.field("shards", shards);
-  j.field("region_solver", region_solver);
+  j.field("region_solver", "push_relabel");
   j.field("threads", threads);
   j.field("threads_used", rep.threads_used);
   j.field("flow", sharded.flow_value);

@@ -46,11 +46,11 @@ class CircuitBuilder {
     }
 
     // Conservation circuits (Fig. 2) and objective links.
+    const graph::Incidence inc(g_);
     for (int v = 0; v < g_.num_vertices(); ++v) {
       if (v == g_.source() || v == g_.sink()) continue;
       int connections = 0;
-      for (int e : g_.in_edges(v)) connections += out_.edge_node[e] >= 0;
-      for (int e : g_.out_edges(v)) connections += out_.edge_node[e] >= 0;
+      for (int a : inc.arcs(v)) connections += out_.edge_node[a >> 1] >= 0;
       if (connections == 0) continue;
       const circuit::NodeId n = nl.new_node("n" + std::to_string(v));
       out_.vertex_node[v] = n;
@@ -260,20 +260,22 @@ double MaxFlowCircuit::max_conservation_violation_volts(
     std::span<const double> x, const circuit::MnaAssembler& mna,
     const graph::FlowNetwork& net) const {
   double worst = 0.0;
+  const graph::Incidence inc(net);
   for (int v = 0; v < net.num_vertices(); ++v) {
     if (v == net.source() || v == net.sink()) continue;
     if (vertex_node[v] < 0) continue;
+    // Inflow first, then outflow: odd arcs are v's in-edges, even arcs its
+    // out-edges, each in edge order.
     double balance = 0.0;
     bool any = false;
-    for (int e : net.in_edges(v)) {
-      if (edge_node[e] < 0) continue;
-      balance += mna.node_voltage(edge_node[e], x);
-      any = true;
-    }
-    for (int e : net.out_edges(v)) {
-      if (edge_node[e] < 0) continue;
-      balance -= mna.node_voltage(edge_node[e], x);
-      any = true;
+    for (const int parity : {1, 0}) {
+      for (int a : inc.arcs(v)) {
+        const int e = a >> 1;
+        if ((a & 1) != parity || edge_node[e] < 0) continue;
+        const double volts = mna.node_voltage(edge_node[e], x);
+        balance += parity ? volts : -volts;
+        any = true;
+      }
     }
     if (any) worst = std::max(worst, std::abs(balance));
   }

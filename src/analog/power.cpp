@@ -1,17 +1,21 @@
 #include "analog/power.hpp"
 
+#include <vector>
+
 namespace aflow::analog {
 
 int count_active_opamps(const graph::FlowNetwork& net) {
   int amps = 0;
-  for (int e = 0; e < net.num_edges(); ++e) {
-    const auto& edge = net.edge(e);
+  std::vector<char> touched(static_cast<size_t>(net.num_vertices()), 0);
+  for (const graph::Edge& edge : net.edges()) {
+    touched[static_cast<size_t>(edge.from)] = 1;
+    touched[static_cast<size_t>(edge.to)] = 1;
     if (edge.from == net.sink() || edge.to == net.source()) continue; // dropped
     if (edge.to != net.sink()) ++amps; // negation-widget NIC
   }
   for (int v = 0; v < net.num_vertices(); ++v) {
     if (v == net.source() || v == net.sink()) continue;
-    if (net.degree(v) > 0) ++amps; // column NIC
+    if (touched[static_cast<size_t>(v)]) ++amps; // column NIC
   }
   return amps;
 }

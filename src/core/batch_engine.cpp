@@ -20,6 +20,30 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+/// The one outcome runner behind every entry point: cancellation check,
+/// instance validation, `solve()`, the optional flow::check_flow audit and
+/// error classification, timed into `out` (index left to the caller).
+template <typename Solve>
+void run_outcome(InstanceOutcome& out, const BatchOptions& options,
+                 const graph::FlowNetwork& net, Solve&& solve) {
+  const auto t0 = Clock::now();
+  try {
+    options.cancel.check();
+    net.validate();
+    out.result = solve();
+    if (options.validate) {
+      const std::string err = flow::check_flow(net, out.result);
+      if (!err.empty()) throw std::runtime_error("infeasible flow: " + err);
+    }
+    out.ok = true;
+  } catch (const std::exception& e) {
+    out.ok = false;
+    out.error = e.what();
+    out.error_info = classify_error(e);
+  }
+  out.seconds = seconds_since(t0);
+}
+
 void aggregate_outcomes(BatchReport& report) {
   for (const InstanceOutcome& out : report.outcomes) {
     if (out.ok) {
@@ -86,86 +110,10 @@ BatchReport BatchEngine::run(const std::vector<graph::FlowNetwork>& instances,
     for (int i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
       InstanceOutcome& out = report.outcomes[i];
       out.index = i;
-      const auto t0 = Clock::now();
-      try {
-        options_.cancel.check();
+      run_outcome(out, options_, instances[i], [&] {
         util::FaultInjector::instance().fire("batch.solve", &options_.cancel);
-        instances[i].validate();
-        out.result = solver->solve(instances[i], options_.cancel);
-        if (options_.validate) {
-          const std::string err = flow::check_flow(instances[i], out.result);
-          if (!err.empty()) throw std::runtime_error("infeasible flow: " + err);
-        }
-        out.ok = true;
-      } catch (const std::exception& e) {
-        out.ok = false;
-        out.error = e.what();
-        out.error_info = classify_error(e);
-      }
-      out.seconds = seconds_since(t0);
-    }
-  };
-
-  if (report.threads_used <= 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(report.threads_used);
-    for (int t = 0; t < report.threads_used; ++t) pool.emplace_back(worker, t);
-    for (std::thread& t : pool) t.join();
-  }
-
-  report.wall_seconds = seconds_since(batch_t0);
-  aggregate_outcomes(report);
-  return report;
-}
-
-BatchReport BatchEngine::run_streamed(
-    int count, const std::function<graph::FlowNetwork(int)>& make,
-    const std::function<void(InstanceOutcome&)>& consume) const {
-  if (count < 0)
-    throw std::invalid_argument("BatchEngine::run_streamed: negative count");
-  if (!make || !consume)
-    throw std::invalid_argument(
-        "BatchEngine::run_streamed: make/consume must be callable");
-  BatchReport report;
-  report.outcomes.resize(count);
-  report.threads_used = resolve_threads(count);
-  std::vector<SolverPtr> workers;
-  workers.reserve(report.threads_used);
-  for (int t = 0; t < report.threads_used; ++t)
-    workers.push_back(SolverRegistry::instance().create(options_.solver));
-
-  const auto batch_t0 = Clock::now();
-  std::atomic<int> next{0};
-  const auto worker = [&](int t) {
-    const SolverPtr& solver = workers[t];
-    for (int i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
-      InstanceOutcome& out = report.outcomes[i];
-      out.index = i;
-      const auto t0 = Clock::now();
-      try {
-        options_.cancel.check();
-        util::FaultInjector::instance().fire("batch.solve", &options_.cancel);
-        const graph::FlowNetwork net = make(i);
-        net.validate();
-        out.result = solver->solve(net, options_.cancel);
-        if (options_.validate) {
-          const std::string err = flow::check_flow(net, out.result);
-          if (!err.empty()) throw std::runtime_error("infeasible flow: " + err);
-        }
-        out.ok = true;
-      } catch (const std::exception& e) {
-        out.ok = false;
-        out.error = e.what();
-        out.error_info = classify_error(e);
-      }
-      out.seconds = seconds_since(t0);
-      if (out.ok) consume(out);
-      // The consumer has scattered what it needs; keep the report light so
-      // k huge regions never accumulate k huge flow vectors.
-      out.result.edge_flow.clear();
-      out.result.edge_flow.shrink_to_fit();
+        return solver->solve(instances[i], options_.cancel);
+      });
     }
   };
 
@@ -191,22 +139,9 @@ InstanceOutcome BatchEngine::run_delta(const graph::FlowNetwork& net,
     throw std::invalid_argument("BatchEngine::run_delta: solver is null");
   InstanceOutcome out;
   out.index = 0;
-  const auto t0 = Clock::now();
-  try {
-    options_.cancel.check();
-    net.validate();
-    out.result = solver->solve_delta(net, delta, prior, options_.cancel);
-    if (options_.validate) {
-      const std::string err = flow::check_flow(net, out.result);
-      if (!err.empty()) throw std::runtime_error("infeasible flow: " + err);
-    }
-    out.ok = true;
-  } catch (const std::exception& e) {
-    out.ok = false;
-    out.error = e.what();
-    out.error_info = classify_error(e);
-  }
-  out.seconds = seconds_since(t0);
+  run_outcome(out, options_, net, [&] {
+    return solver->solve_delta(net, delta, prior, options_.cancel);
+  });
   return out;
 }
 
@@ -224,25 +159,9 @@ BatchReport BatchEngine::run_delta(const graph::FlowNetwork& base,
 
   InstanceOutcome first;
   first.index = 0;
-  {
-    const auto t0 = Clock::now();
-    try {
-      options_.cancel.check();
-      net.validate();
-      first.result = solver->solve(net, options_.cancel);
-      if (options_.validate) {
-        const std::string err = flow::check_flow(net, first.result);
-        if (!err.empty()) throw std::runtime_error("infeasible flow: " + err);
-      }
-      first.ok = true;
-      prior = first.result;
-    } catch (const std::exception& e) {
-      first.ok = false;
-      first.error = e.what();
-      first.error_info = classify_error(e);
-    }
-    first.seconds = seconds_since(t0);
-  }
+  run_outcome(first, options_, net,
+              [&] { return solver->solve(net, options_.cancel); });
+  if (first.ok) prior = first.result;
   report.outcomes.push_back(std::move(first));
 
   for (size_t k = 0; k < deltas.size(); ++k) {

@@ -4,7 +4,6 @@
 // (benches, the CLI, future sharding/async layers) goes through here.
 #pragma once
 
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -92,20 +91,6 @@ class BatchEngine {
   /// rather than partitioned per worker.
   BatchReport run(const std::vector<graph::FlowNetwork>& instances,
                   const SolverPtr& shared_solver, int threads) const;
-
-  /// Lazily materialised batch for instances too big to coexist: worker
-  /// threads claim index i, call make(i) to build the instance, solve it,
-  /// hand the outcome to consume(outcome), and drop the instance and the
-  /// solution's edge_flow before claiming the next index — so at most
-  /// `threads` instances (plus their residuals) are alive at once. This is
-  /// the region-solve path of core::ShardedSolver, where the k region
-  /// subproblems of a huge graph would otherwise sum back to full-graph
-  /// memory. make and consume may be invoked concurrently for distinct
-  /// indices (consume writes to disjoint per-region slots in the sharded
-  /// path); outcomes keep timings and errors but have edge_flow cleared.
-  BatchReport run_streamed(
-      int count, const std::function<graph::FlowNetwork(int)>& make,
-      const std::function<void(InstanceOutcome&)>& consume) const;
 
   /// Single-step delta entry: solves the post-edit `net` through
   /// solver->solve_delta(net, delta, prior) with the engine's usual timing,

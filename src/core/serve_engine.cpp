@@ -601,7 +601,6 @@ void ServeSession::cmd_solve(const std::vector<std::string>& t,
     // per-solver delta path (different backend name, different metrics).
     ShardOptions so;
     so.shards = static_cast<int>(std::min<long long>(shards, 1 << 20));
-    so.region_solver = tok_string(t, "--region-solver", so.region_solver);
     so.num_threads = static_cast<int>(tok_ll(t, "--threads", 0));
     so.deterministic = engine_.options().deterministic;
     const ShardedSolver solver(so);
@@ -610,7 +609,7 @@ void ServeSession::cmd_solve(const std::vector<std::string>& t,
         solver.solve_csr(graph::CsrGraph::from_network(net), &rep, token);
     j.field("ok", true);
     j.field("solver", "sharded");
-    j.field("region_solver", so.region_solver);
+    j.field("region_solver", "push_relabel");
     j.field("flow", r.flow_value);
     j.key("shards").begin_object();
     j.field("regions", rep.regions);

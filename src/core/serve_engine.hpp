@@ -28,9 +28,10 @@
 //   load (--input FILE.dimacs | --spec GENSPEC)
 //   reconfigure (--edits I:C[,I:C...] | --seed K | --scale F)
 //   solve [--solver NAME] [--check] [--scratch] [--deadline-ms N]
-//         [--shards K [--region-solver NAME] [--threads N]]
+//         [--shards K [--threads N]]
 //                      (K >= 2: sharded decomposition solve, DESIGN.md
-//                      "Sharded solve"; skips the bank/prior machinery)
+//                      "Sharded solve"; regions run push-relabel; skips
+//                      the bank/prior machinery)
 //   batch --spec GENSPEC [--solver NAME] [--check] [--delta]
 //         [--deadline-ms N]
 //   sweep [--points N] [--vmax V] [--deadline-ms N]

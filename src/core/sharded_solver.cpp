@@ -1,14 +1,16 @@
 #include "core/sharded_solver.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <span>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <utility>
 
 #include "arch/partition.hpp"
 #include "core/batch_engine.hpp"
-#include "core/registry.hpp"
 #include "flow/residual.hpp"
 #include "util/fault_injector.hpp"
 
@@ -25,8 +27,8 @@ double seconds_since(Clock::time_point t0) {
 int local_id(const std::vector<int>& region_vertices, int v) {
   // Region vertex lists are ascending (partition_regions builds them by a
   // vertex-order sweep), so a binary search replaces the n-sized
-  // global->local scratch array a million-vertex make() would otherwise
-  // allocate per worker.
+  // global->local scratch array a million-vertex region build would
+  // otherwise allocate per worker.
   const auto it =
       std::lower_bound(region_vertices.begin(), region_vertices.end(), v);
   return static_cast<int>(it - region_vertices.begin());
@@ -67,15 +69,6 @@ flow::MaxFlowResult ShardedSolver::solve(const graph::FlowNetwork& net,
 flow::MaxFlowResult ShardedSolver::solve_csr(const graph::CsrGraph& g,
                                              ShardReport* report,
                                              const CancelToken& cancel) const {
-  // Fail fast on a bad region backend, before any partition work.
-  const SolverPtr region_solver =
-      SolverRegistry::instance().create(options_.region_solver);
-  const SolverCapabilities rc = region_solver->capabilities();
-  if (!rc.exact || rc.analog)
-    throw std::invalid_argument(
-        "ShardedSolver: region solver '" + options_.region_solver +
-        "' must be exact and non-analog");
-
   const int n = g.num_vertices();
   const std::int64_t m = g.num_edges();
   const int s = g.source();
@@ -141,20 +134,27 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::CsrGraph& g,
   cancel.check();
 
   // --- Parallel region solves -------------------------------------------
-  // Region r's subproblem: its induced subgraph plus a super source S_r and
-  // super sink T_r. Every cut arc is represented individually — an incoming
-  // cut arc (u -> v, v in r) becomes S_r -> v at the arc's capacity, an
-  // outgoing one becomes u -> T_r — so each region votes a flow for each of
-  // its incident cut arcs. s and t, where present, are wired to their
-  // region's super terminals at the trivial-bound capacities.
+  // Region r's subproblem is a slice of the parent edge list plus a super
+  // source S_r and super sink T_r, in this order: its internal edges
+  // (ascending), its incoming cut arcs as S_r -> v (slot order), its
+  // outgoing cut arcs as u -> T_r (slot order), then s and t, where
+  // present, wired to S_r / T_r at the trivial-bound capacities. Every cut
+  // arc is represented individually, so each region votes a flow for each
+  // of its incident cut arcs. Edges entering s or leaving t are left out of
+  // every slice: no s-t max flow needs them, and a region that routed flow
+  // over them would hand the stitch a negative source carry. Their stitched
+  // flow stays 0.
   const auto region_t0 = Clock::now();
+  const auto kept = [&](const graph::Edge& e) {
+    return e.to != s && e.from != t;
+  };
   std::vector<std::vector<std::int64_t>> internal(
       static_cast<size_t>(part.num_regions));
   {
     std::vector<std::int64_t> count(static_cast<size_t>(part.num_regions), 0);
     for (const graph::Edge& e : edges) {
       const int r = part.region[e.from];
-      if (r == part.region[e.to]) ++count[static_cast<size_t>(r)];
+      if (r == part.region[e.to] && kept(e)) ++count[static_cast<size_t>(r)];
     }
     for (int r = 0; r < part.num_regions; ++r)
       internal[static_cast<size_t>(r)].reserve(
@@ -165,14 +165,15 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::CsrGraph& g,
       out_slots(static_cast<size_t>(part.num_regions));
   for (std::int64_t e = 0; e < m; ++e) {
     const int ru = part.region[g.edge(e).from];
-    if (ru == part.region[g.edge(e).to])
+    if (ru == part.region[g.edge(e).to] && kept(g.edge(e)))
       internal[static_cast<size_t>(ru)].push_back(e);
   }
   for (size_t slot = 0; slot < part.cut_arcs.size(); ++slot) {
-    const std::int64_t e = part.cut_arcs[slot];
-    out_slots[static_cast<size_t>(part.region[g.edge(e).from])].push_back(
+    const graph::Edge& e = g.edge(part.cut_arcs[slot]);
+    if (!kept(e)) continue;
+    out_slots[static_cast<size_t>(part.region[e.from])].push_back(
         static_cast<std::int64_t>(slot));
-    in_slots[static_cast<size_t>(part.region[g.edge(e).to])].push_back(
+    in_slots[static_cast<size_t>(part.region[e.to])].push_back(
         static_cast<std::int64_t>(slot));
   }
 
@@ -184,108 +185,121 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::CsrGraph& g,
   const double s_supply = std::max(source_out, 1.0);
   const double t_drain = std::max(sink_in, 1.0);
 
-  const auto make = [&](int r) {
+  // Gathers region r's slice, solves it (push-relabel, or Dinic on the
+  // direct rung of the ladder below) and scatters its votes into the
+  // global arrays. Regions own disjoint slots (a cut arc's tail vote
+  // belongs to the tail region only, the head vote to the head region), so
+  // concurrent workers never touch the same element. The slice and its
+  // residual die with the call: at most one region per worker is alive.
+  const auto solve_region = [&](int r, bool direct) {
     // Chaos battery: "shard.region:throw" / ":delay" faults the region
-    // subproblem build, which the worker's failure isolation catches like
-    // any region-solve failure — the ladder below then retries.
+    // build, which the failure isolation below catches like any
+    // region-solve failure — the ladder then retries.
     util::FaultInjector::instance().fire("shard.region", &cancel);
-    const auto& verts = part.vertices[static_cast<size_t>(r)];
-    const int nr = static_cast<int>(verts.size());
-    graph::FlowNetwork net(nr + 2, nr, nr + 1); // S_r = nr, T_r = nr + 1
-    for (const std::int64_t e : internal[static_cast<size_t>(r)])
-      net.add_edge(local_id(verts, g.edge(e).from),
-                   local_id(verts, g.edge(e).to), g.edge(e).capacity);
-    for (const std::int64_t slot : in_slots[static_cast<size_t>(r)]) {
+    const size_t ri = static_cast<size_t>(r);
+    const auto& verts = part.vertices[ri];
+    const int nr = static_cast<int>(verts.size()); // S_r = nr, T_r = nr + 1
+    const auto local = [&](int v) { return local_id(verts, v); };
+    std::vector<graph::Edge> slice;
+    slice.reserve(internal[ri].size() + in_slots[ri].size() +
+                  out_slots[ri].size() + 2);
+    for (const std::int64_t e : internal[ri])
+      slice.push_back({local(g.edge(e).from), local(g.edge(e).to),
+                       g.edge(e).capacity});
+    for (const std::int64_t slot : in_slots[ri]) {
       const graph::Edge& e = g.edge(part.cut_arcs[static_cast<size_t>(slot)]);
-      net.add_edge(nr, local_id(verts, e.to), e.capacity);
+      slice.push_back({nr, local(e.to), e.capacity});
     }
-    for (const std::int64_t slot : out_slots[static_cast<size_t>(r)]) {
+    for (const std::int64_t slot : out_slots[ri]) {
       const graph::Edge& e = g.edge(part.cut_arcs[static_cast<size_t>(slot)]);
-      net.add_edge(local_id(verts, e.from), nr + 1, e.capacity);
+      slice.push_back({local(e.from), nr + 1, e.capacity});
     }
-    if (part.region[s] == r) net.add_edge(nr, local_id(verts, s), s_supply);
-    if (part.region[t] == r) net.add_edge(local_id(verts, t), nr + 1, t_drain);
-    return net;
-  };
+    if (part.region[s] == r) slice.push_back({nr, local(s), s_supply});
+    if (part.region[t] == r) slice.push_back({local(t), nr + 1, t_drain});
 
-  // Scatter one region's solution into the global arrays. Regions own
-  // disjoint slots (a cut arc's tail vote belongs to the tail region only,
-  // the head vote to the head region), so concurrent consumes never touch
-  // the same element.
-  const auto consume = [&](InstanceOutcome& out) {
-    const int r = out.index;
-    const std::vector<double>& ef = out.result.edge_flow;
+    flow::detail::Residual rr(nr + 2, slice);
+    long long ops = 0;
+    if (direct)
+      flow::detail::dinic_augment(rr, nr, nr + 1, ops, cancel);
+    else
+      ops = flow::detail::push_relabel_augment(rr, nr, nr + 1, cancel);
+
     size_t j = 0;
-    for (const std::int64_t e : internal[static_cast<size_t>(r)])
-      flow[static_cast<size_t>(e)] = ef[j++];
-    for (const std::int64_t slot : in_slots[static_cast<size_t>(r)])
-      cut_in[static_cast<size_t>(slot)] = ef[j++];
-    for (const std::int64_t slot : out_slots[static_cast<size_t>(r)])
-      cut_out[static_cast<size_t>(slot)] = ef[j++];
-    region_ops[static_cast<size_t>(r)] = out.result.operations;
+    const auto vote = [&] {
+      const double f = slice[j].capacity - rr.cap[2 * j];
+      ++j;
+      return f;
+    };
+    for (const std::int64_t e : internal[ri])
+      flow[static_cast<size_t>(e)] = vote();
+    for (const std::int64_t slot : in_slots[ri])
+      cut_in[static_cast<size_t>(slot)] = vote();
+    for (const std::int64_t slot : out_slots[ri])
+      cut_out[static_cast<size_t>(slot)] = vote();
+    region_ops[ri] = ops;
   };
 
+  // Workers claim regions from a shared counter; a failed region keeps its
+  // error text for the ladder and never fails the others.
+  std::vector<std::string> failure(static_cast<size_t>(part.num_regions));
+  std::vector<char> failed(static_cast<size_t>(part.num_regions), 0);
+  std::atomic<int> next{0};
+  const auto worker = [&] {
+    for (int r = next.fetch_add(1); r < part.num_regions;
+         r = next.fetch_add(1)) {
+      try {
+        cancel.check();
+        solve_region(r, /*direct=*/false);
+      } catch (const std::exception& e) {
+        failed[static_cast<size_t>(r)] = 1;
+        failure[static_cast<size_t>(r)] = e.what();
+      }
+    }
+  };
   BatchOptions bo;
-  bo.solver = options_.region_solver;
   bo.num_threads = options_.num_threads;
   bo.deterministic = options_.deterministic;
-  bo.cancel = cancel;
-  const BatchReport batch =
-      BatchEngine(bo).run_streamed(part.num_regions, make, consume);
-  rep.threads_used = batch.threads_used;
+  rep.threads_used = BatchEngine(bo).resolve_threads(part.num_regions);
+  if (rep.threads_used <= 1) {
+    worker();
+  } else {
+    std::vector<std::thread> pool;
+    pool.reserve(static_cast<size_t>(rep.threads_used));
+    for (int w = 0; w < rep.threads_used; ++w) pool.emplace_back(worker);
+    for (std::thread& th : pool) th.join();
+  }
 
   // Degradation ladder, region rung: a failed region solve no longer fails
-  // the whole sharded solve. Each failed region is retried through the
-  // region backend up to region_retries times, then re-solved directly on
-  // this thread with the built-in exact solver; only when the direct rung
-  // fails too (or the solve is being cancelled) does the failure propagate.
-  if (batch.failed > 0) {
-    for (const InstanceOutcome& out : batch.outcomes) {
-      if (out.ok) continue;
-      cancel.check(); // a cancelled solve must not burn retries
-      long long ops = 0;
-      bool recovered = false;
-      for (int a = 0; a < options_.region_retries && !recovered; ++a) {
-        ++rep.region_retries;
-        try {
-          InstanceOutcome retry;
-          retry.index = out.index;
-          const graph::FlowNetwork net = make(out.index);
-          net.validate();
-          retry.result = region_solver->solve(net, cancel);
-          consume(retry);
-          recovered = true;
-        } catch (const util::CancelledError&) {
-          throw;
-        } catch (const std::exception&) {
-          // retry again, or fall through to the direct rung
-        }
+  // the whole sharded solve. Each failed region is re-solved with
+  // push-relabel up to region_retries times, then directly with Dinic;
+  // only when the direct rung fails too (or the solve is being cancelled)
+  // does the failure propagate.
+  for (int r = 0; r < part.num_regions; ++r) {
+    if (!failed[static_cast<size_t>(r)]) continue;
+    cancel.check(); // a cancelled solve must not burn retries
+    bool recovered = false;
+    for (int a = 0; a < options_.region_retries && !recovered; ++a) {
+      ++rep.region_retries;
+      try {
+        solve_region(r, /*direct=*/false);
+        recovered = true;
+      } catch (const util::CancelledError&) {
+        throw;
+      } catch (const std::exception&) {
+        // retry again, or fall through to the direct rung
       }
-      if (!recovered) {
-        ++rep.region_direct_solves;
-        try {
-          InstanceOutcome direct;
-          direct.index = out.index;
-          const graph::FlowNetwork net = make(out.index);
-          net.validate();
-          flow::detail::Residual rr(net.num_vertices(), net.edges());
-          flow::detail::dinic_augment(rr, net.source(), net.sink(), ops,
-                                      cancel);
-          direct.result.flow_value =
-              rr.flow_value_at(net.edges(), net.source());
-          direct.result.edge_flow = rr.edge_flows(net.edges());
-          direct.result.operations = ops;
-          consume(direct);
-        } catch (const util::CancelledError&) {
-          throw;
-        } catch (const std::exception& e) {
-          throw std::runtime_error("ShardedSolver: region " +
-                                   std::to_string(out.index) +
-                                   " solve failed: " + out.error +
-                                   " (direct re-solve also failed: " +
-                                   e.what() + ")");
-        }
-      }
+    }
+    if (recovered) continue;
+    ++rep.region_direct_solves;
+    try {
+      solve_region(r, /*direct=*/true);
+    } catch (const util::CancelledError&) {
+      throw;
+    } catch (const std::exception& e) {
+      throw std::runtime_error(
+          "ShardedSolver: region " + std::to_string(r) + " solve failed: " +
+          failure[static_cast<size_t>(r)] +
+          " (direct re-solve also failed: " + e.what() + ")");
     }
   }
   for (const long long ops : region_ops) rep.region_operations += ops;

@@ -1,6 +1,6 @@
 // Sharded solve of one huge instance (DESIGN.md "Sharded solve"):
-// k-way region partition -> parallel region solves through the BatchEngine
-// worker pool -> boundary stitch -> conservation repair -> exact refinement
+// k-way region partition -> parallel push-relabel solves of per-region
+// slices of the edge list -> boundary stitch -> conservation repair -> exact refinement
 // on the full residual, with a valid optimality bound reported at every
 // stage. The returned flow value is exactly the max flow: the refinement
 // pass (a warm push-relabel budgeted by upper_bound - stitched_value, with
@@ -23,14 +23,6 @@ struct ShardOptions {
   /// Region count k; clamped to the vertex count. Below 2 the solve
   /// degenerates to a direct residual solve (no partition machinery).
   int shards = 4;
-  /// Registry backend for the region subproblems. Must be exact and
-  /// non-analog (region solves feed an exactness-preserving stitch; an
-  /// approximate region flow would push its error into refinement work, and
-  /// the analog adapters' crossbar sizing is not meant for shard-scale
-  /// subproblems). push_relabel by default: on the grid families the
-  /// sharded route serves it solves regions several times faster than
-  /// dinic; any exact backend leaves the result exact.
-  std::string region_solver = "push_relabel";
   /// Worker threads for region solves; 0 picks hardware concurrency.
   int num_threads = 0;
   /// In-order single-thread region solves (clean traces; results are
@@ -39,9 +31,9 @@ struct ShardOptions {
   /// Partition seed (arch::partition_regions).
   std::uint64_t seed = 1;
   /// Degradation ladder, region rung: a failed (or fault-injected) region
-  /// solve is retried up to this many times through the region backend; if
-  /// every retry fails too, the region is re-solved directly on the calling
-  /// thread with the built-in exact solver. Both recoveries are reported
+  /// solve is retried with push-relabel up to this many times; if every
+  /// retry fails too, the region is re-solved directly on the calling
+  /// thread with Dinic. Both recoveries are reported
   /// (ShardReport::region_retries / region_direct_solves and the
   /// fallback_region_* SolveMetrics counters); only when the direct rung
   /// itself fails does the solve throw.
@@ -95,10 +87,9 @@ class ShardedSolver final : public ISolver {
 
   /// The native huge-instance entry: solves a CSR view in place (streamed
   /// from disk via graph::read_dimacs_stream) without ever materialising
-  /// the full FlowNetwork. Throws std::invalid_argument when the region
-  /// backend is unknown, approximate, or analog. `cancel` is checked at
-  /// every stage boundary and threaded into the region solves, the
-  /// conservation repair, and the refinement pass.
+  /// the full FlowNetwork. `cancel` is checked at every stage boundary and
+  /// threaded into the region solves, the conservation repair, and the
+  /// refinement pass.
   flow::MaxFlowResult solve_csr(const graph::CsrGraph& g,
                                 ShardReport* report = nullptr,
                                 const CancelToken& cancel = {}) const;

@@ -23,25 +23,25 @@ MinCutResult min_cut_from_flow(const graph::FlowNetwork& net,
     scale = std::max(scale, net.edge(e).capacity);
   const double eps = kEpsAbs * scale;
 
-  // BFS in the residual graph from the source.
+  // BFS in the residual graph from the source: an out-edge with slack, or
+  // an in-edge carrying flow, leads on.
+  const graph::Incidence inc(net);
   std::queue<int> q;
   q.push(net.source());
   cut.side[net.source()] = 1;
   while (!q.empty()) {
     const int v = q.front();
     q.pop();
-    for (int e : net.out_edges(v)) {
+    for (int a : inc.arcs(v)) {
+      const int e = a >> 1;
       const auto& edge = net.edge(e);
-      if (!cut.side[edge.to] && edge.capacity - flow.edge_flow[e] > eps) {
-        cut.side[edge.to] = 1;
-        q.push(edge.to);
-      }
-    }
-    for (int e : net.in_edges(v)) {
-      const auto& edge = net.edge(e);
-      if (!cut.side[edge.from] && flow.edge_flow[e] > eps) {
-        cut.side[edge.from] = 1;
-        q.push(edge.from);
+      const bool out = !(a & 1);
+      const int u = out ? edge.to : edge.from;
+      const double slack =
+          out ? edge.capacity - flow.edge_flow[e] : flow.edge_flow[e];
+      if (!cut.side[u] && slack > eps) {
+        cut.side[u] = 1;
+        q.push(u);
       }
     }
   }

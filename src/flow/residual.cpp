@@ -1,7 +1,6 @@
 #include "flow/residual.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <queue>
 #include <stdexcept>
 
@@ -9,17 +8,12 @@ namespace aflow::flow::detail {
 
 Residual::Residual(int n, std::span<const graph::Edge> edges,
                    std::span<const double> prior)
-    : n(n) {
+    : inc(n, edges), n(n) {
   const size_t m = edges.size();
-  if (2 * m >= static_cast<size_t>(std::numeric_limits<int>::max()))
-    throw std::length_error(
-        "Residual: 2m arcs exceed the int arc index; the residual caps "
-        "instances below 2^30 edges");
   if (!prior.empty() && prior.size() != m)
     throw std::invalid_argument("Residual: prior flow is not one per edge");
   cap.resize(2 * m);
   head.resize(2 * m);
-  arc_start.assign(static_cast<size_t>(n) + 1, 0);
   for (size_t e = 0; e < m; ++e) {
     const graph::Edge& edge = edges[e];
     const double f =
@@ -28,15 +22,6 @@ Residual::Residual(int n, std::span<const graph::Edge> edges,
     cap[2 * e + 1] = f;
     head[2 * e] = edge.to;
     head[2 * e + 1] = edge.from;
-    arc_start[static_cast<size_t>(edge.from) + 1]++;
-    arc_start[static_cast<size_t>(edge.to) + 1]++;
-  }
-  for (int v = 0; v < n; ++v) arc_start[v + 1] += arc_start[v];
-  arc_ids.resize(2 * m);
-  std::vector<int> cursor(arc_start.begin(), arc_start.end() - 1);
-  for (size_t e = 0; e < m; ++e) {
-    arc_ids[cursor[edges[e].from]++] = static_cast<int>(2 * e);
-    arc_ids[cursor[edges[e].to]++] = static_cast<int>(2 * e + 1);
   }
 }
 

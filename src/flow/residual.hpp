@@ -20,33 +20,28 @@ struct Residual {
   /// conservation violations the repair below then drains — the carry-over
   /// seam of the incremental re-solve path (flow/delta.hpp) and of the
   /// sharded stitch. Both graph models hand over their edge arrays
-  /// (FlowNetwork::edges(), graph::CsrGraph::edges()). Throws
-  /// std::length_error when 2m overflows the int arc index, and
+  /// (FlowNetwork::edges(), graph::CsrGraph::edges()), and a sharded region
+  /// hands over its slice of one. Throws std::length_error when 2m
+  /// overflows the int arc index (graph::Incidence), and
   /// std::invalid_argument when a non-empty `prior` is not one per edge.
   Residual(int n, std::span<const graph::Edge> edges,
            std::span<const double> prior = {});
 
-  /// Residual capacity per arc; arcs 2e / 2e+1 are the forward / reverse
-  /// pair of input edge e.
+  /// Incident arcs per vertex; arcs 2e / 2e+1 are the forward / reverse
+  /// pair of input edge e. Building it allocates nothing per vertex, which
+  /// matters because the build is the fixed cost of every delta re-solve
+  /// (flow/delta.hpp).
+  graph::Incidence inc;
+  /// Residual capacity per arc.
   std::vector<double> cap;
   std::vector<int> head; // arc -> target vertex
-  // Incident arcs in CSR form (arc_ids[arc_start[v] .. arc_start[v+1])):
-  // two flat arrays instead of a vector-of-vectors, so building a residual
-  // is two O(E) passes with no per-vertex allocations — that build is the
-  // fixed cost of every delta re-solve (flow/delta.hpp), where it would
-  // otherwise dominate small-edit steps.
-  std::vector<int> arc_start; // n + 1 offsets
-  std::vector<int> arc_ids;
   int n = 0;
 
   int rev(int arc) const { return arc ^ 1; }
 
   /// Arcs leaving `v` (forward arcs of v's out-edges plus reverse arcs of
-  /// its in-edges).
-  std::span<const int> arcs(int v) const {
-    return {arc_ids.data() + arc_start[v],
-            static_cast<size_t>(arc_start[v + 1] - arc_start[v])};
-  }
+  /// its in-edges), in edge order.
+  std::span<const int> arcs(int v) const { return inc.arcs(v); }
 
   /// Extracts per-input-edge flow (forward capacity consumed) for the edge
   /// list the residual was built from. Reading capacity - cap[2e] rather

@@ -1,7 +1,6 @@
 #include "graph/csr.hpp"
 
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -20,14 +19,6 @@ CsrGraph CsrGraph::from_network(const FlowNetwork& net) {
   const auto edges = net.edges();
   return CsrGraph(net.num_vertices(), net.source(), net.sink(),
                   std::vector<Edge>(edges.begin(), edges.end()));
-}
-
-FlowNetwork CsrGraph::to_network() const {
-  if (num_edges() >= std::numeric_limits<int>::max())
-    throw std::length_error(
-        "CsrGraph::to_network: edge count exceeds FlowNetwork's int range; "
-        "keep the instance in CSR form");
-  return FlowNetwork(num_vertices_, source_, sink_, edges_);
 }
 
 double CsrGraph::source_out_capacity() const {

@@ -2,15 +2,15 @@
 // representation of the sharded solve path (DESIGN.md "Sharded solve", the
 // streaming graph layer).
 //
-// graph::FlowNetwork carries a vector<vector<int>> adjacency: two heap
-// blocks plus a 24-byte header per vertex, which is the memory wall at
-// millions of nodes. A CsrGraph keeps only the terminals and the same
-// graph::Edge array FlowNetwork holds (16 bytes per edge, 64-bit edge
-// counts), so a million-node instance streams from disk into a predictable,
-// compact footprint. Consumers that need incidence (flow::detail::Residual,
-// the partitioner) build their own from the edge array. The view is
-// immutable by contract: build it once (from a stream or a FlowNetwork) and
-// share it read-only.
+// A CsrGraph keeps only the terminals and the same graph::Edge array a
+// FlowNetwork holds (16 bytes per edge, 64-bit edge counts), so a
+// million-node instance streams from disk into a predictable, compact
+// footprint. Neither model stores adjacency: consumers that need incidence
+// build the one graph::Incidence over the edge array (flow::detail::Residual
+// holds one), and the sharded solver's region subproblems are slices of
+// this array gathered inside each worker. The view is immutable by
+// contract: build it once (from a stream or a FlowNetwork) and share it
+// read-only.
 #pragma once
 
 #include <cstdint>
@@ -33,11 +33,6 @@ class CsrGraph {
 
   /// Snapshot of an in-memory FlowNetwork (edge order preserved).
   static CsrGraph from_network(const FlowNetwork& net);
-
-  /// Materialises a FlowNetwork (edge order preserved) — the bridge back to
-  /// the per-region subproblem path and the tests. Throws std::length_error
-  /// when the edge count exceeds FlowNetwork's int range.
-  FlowNetwork to_network() const;
 
   int num_vertices() const { return num_vertices_; }
   std::int64_t num_edges() const {

@@ -36,8 +36,6 @@ void check_edge(const Edge& e, int num_vertices, const char* who) {
 FlowNetwork::FlowNetwork(int num_vertices, int source, int sink)
     : num_vertices_(num_vertices), source_(source), sink_(sink) {
   check_terminals(num_vertices, source, sink, "FlowNetwork");
-  out_.resize(static_cast<size_t>(num_vertices));
-  in_.resize(static_cast<size_t>(num_vertices));
 }
 
 FlowNetwork::FlowNetwork(int num_vertices, int source, int sink,
@@ -48,12 +46,7 @@ FlowNetwork::FlowNetwork(int num_vertices, int source, int sink,
     throw std::length_error(
         "FlowNetwork: edge count exceeds the int index limit; "
         "instances of this size belong in graph::CsrGraph");
-  for (size_t id = 0; id < edges.size(); ++id) {
-    const Edge& e = edges[id];
-    check_edge(e, num_vertices_, "FlowNetwork");
-    out_[e.from].push_back(static_cast<int>(id));
-    in_[e.to].push_back(static_cast<int>(id));
-  }
+  for (const Edge& e : edges) check_edge(e, num_vertices_, "FlowNetwork");
   edges_ = std::move(edges);
 }
 
@@ -66,11 +59,8 @@ int FlowNetwork::add_edge(int from, int to, double capacity) {
     throw std::length_error(
         "FlowNetwork::add_edge: edge count at the int index limit; "
         "instances of this size belong in graph::CsrGraph");
-  const int id = static_cast<int>(edges_.size());
   edges_.push_back({from, to, capacity});
-  out_[from].push_back(id);
-  in_[to].push_back(id);
-  return id;
+  return num_edges() - 1;
 }
 
 void FlowNetwork::set_capacity(int e, double capacity) {
@@ -93,7 +83,28 @@ void FlowNetwork::validate() const {
   for (const Edge& e : edges_) check_edge(e, num_vertices_, "FlowNetwork");
 }
 
+Incidence::Incidence(int num_vertices, std::span<const Edge> edges) {
+  const size_t m = edges.size();
+  if (2 * m >= static_cast<size_t>(std::numeric_limits<int>::max()))
+    throw std::length_error(
+        "Incidence: 2m arcs exceed the int arc index; instances are capped "
+        "below 2^30 edges");
+  start_.assign(static_cast<size_t>(num_vertices) + 1, 0);
+  for (const Edge& e : edges) {
+    start_[static_cast<size_t>(e.from) + 1]++;
+    start_[static_cast<size_t>(e.to) + 1]++;
+  }
+  for (int v = 0; v < num_vertices; ++v) start_[v + 1] += start_[v];
+  arcs_.resize(2 * m);
+  std::vector<int> cursor(start_.begin(), start_.end() - 1);
+  for (size_t e = 0; e < m; ++e) {
+    arcs_[cursor[edges[e].from]++] = static_cast<int>(2 * e);
+    arcs_[cursor[edges[e].to]++] = static_cast<int>(2 * e + 1);
+  }
+}
+
 std::vector<char> reachable_from(const FlowNetwork& net, int start) {
+  const Incidence inc(net);
   std::vector<char> seen(net.num_vertices(), 0);
   std::queue<int> q;
   q.push(start);
@@ -101,32 +112,13 @@ std::vector<char> reachable_from(const FlowNetwork& net, int start) {
   while (!q.empty()) {
     const int v = q.front();
     q.pop();
-    for (int e : net.out_edges(v)) {
-      const int u = net.edge(e).to;
+    for (int a : inc.arcs(v)) {
+      if (a & 1) continue; // in-edge
+      const int u = net.edge(a >> 1).to;
       if (!seen[u]) { seen[u] = 1; q.push(u); }
     }
   }
   return seen;
-}
-
-std::vector<char> reaches_to(const FlowNetwork& net, int target) {
-  std::vector<char> seen(net.num_vertices(), 0);
-  std::queue<int> q;
-  q.push(target);
-  seen[target] = 1;
-  while (!q.empty()) {
-    const int v = q.front();
-    q.pop();
-    for (int e : net.in_edges(v)) {
-      const int u = net.edge(e).from;
-      if (!seen[u]) { seen[u] = 1; q.push(u); }
-    }
-  }
-  return seen;
-}
-
-bool FlowNetwork::vertex_on_st_path(int v) const {
-  return reachable_from(*this, source_)[v] && reaches_to(*this, sink_)[v];
 }
 
 FlowNetwork paper_example_fig5() {

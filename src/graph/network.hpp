@@ -54,20 +54,7 @@ class FlowNetwork {
   const Edge& edge(int e) const { return edges_[e]; }
   std::span<const Edge> edges() const { return edges_; }
 
-  /// Edge indices leaving / entering `v`.
-  std::span<const int> out_edges(int v) const { return out_[v]; }
-  std::span<const int> in_edges(int v) const { return in_[v]; }
-
-  int out_degree(int v) const { return static_cast<int>(out_[v].size()); }
-  int in_degree(int v) const { return static_cast<int>(in_[v].size()); }
-  /// Degree counting both directions (the paper's N = j + k per vertex).
-  int degree(int v) const { return out_degree(v) + in_degree(v); }
-
   double max_capacity() const;
-
-  /// True if every vertex lies on some s-t path (relevant for substrate
-  /// sizing: other vertices map to unused crossbar columns).
-  bool vertex_on_st_path(int v) const;
 
   /// Throws std::invalid_argument when the instance is malformed
   /// (bad source/sink, non-positive capacity, self loop).
@@ -86,14 +73,36 @@ class FlowNetwork {
   int source_ = 0;
   int sink_ = 0;
   std::vector<Edge> edges_;
-  std::vector<std::vector<int>> out_;
-  std::vector<std::vector<int>> in_;
+};
+
+/// The incident arcs of every vertex of an edge list, in CSR form: the one
+/// incidence structure behind the residual solvers, the cut readout, the
+/// mapper's conservation columns and the BFS helpers (the digital image of
+/// the paper's Fig. 2, where each vertex column wires up its incident
+/// edges). Arc 2e is edge e leaving `from`, arc 2e+1 is edge e entering
+/// `to`; arcs(v) lists v's arcs in edge order, so its even arcs are v's
+/// out-edges ascending and its odd arcs its in-edges ascending. Two flat
+/// arrays, built in two O(m) passes with no per-vertex allocation. Throws
+/// std::length_error when 2m overflows the int arc index (instances of
+/// 2^30 edges and more).
+class Incidence {
+ public:
+  Incidence(int num_vertices, std::span<const Edge> edges);
+  explicit Incidence(const FlowNetwork& net)
+      : Incidence(net.num_vertices(), net.edges()) {}
+
+  std::span<const int> arcs(int v) const {
+    return {arcs_.data() + start_[v],
+            static_cast<size_t>(start_[v + 1] - start_[v])};
+  }
+
+ private:
+  std::vector<int> start_; // num_vertices + 1 offsets into arcs_
+  std::vector<int> arcs_;
 };
 
 /// Vertices reachable from `start` following edge direction.
 std::vector<char> reachable_from(const FlowNetwork& net, int start);
-/// Vertices that can reach `target` following edge direction.
-std::vector<char> reaches_to(const FlowNetwork& net, int target);
 
 /// The Fig. 5a example instance from the paper: 4 vertices s,n1..n3,t with
 /// edges x1..x5 of capacities 3,2,1,1,2 and max flow 2.

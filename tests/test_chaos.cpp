@@ -322,7 +322,7 @@ TEST(DegradationLadder, FailedShardedRegionIsRetriedThenExact) {
 
 TEST(DegradationLadder, RegionRetryExhaustionFallsBackToDirectSolve) {
   // Two rules aimed at the SAME region. Rule 1 throws out of the first
-  // make() call BEFORE rule 2's arrival counter increments, so rule 2 runs
+  // region build BEFORE rule 2's arrival counter increments, so rule 2 runs
   // one arrival behind: with R regions it sees the other R-1 initial solves
   // as arrivals 0..R-2 and the failed region's retry as arrival R-1. Both
   // rules hit the same region, the single configured retry exhausts, and

@@ -37,72 +37,88 @@ std::vector<graph::FlowNetwork> mixed_instances() {
 
 } // namespace
 
-// The acceptance battery: >= 50 (instance, k) pairs per region backend,
-// identical max-flow value to the direct solver, feasible flow, and a bound
-// that is valid before refinement ever runs. The budgeted warm refinement
-// never needs its escalation: upper_bound - stitched_value always covers
-// the flow still to add.
+// The acceptance battery: >= 50 (instance, k) pairs, identical max-flow
+// value to the direct solver, feasible flow, and a bound that is valid
+// before refinement ever runs. The budgeted warm refinement never needs its
+// escalation: upper_bound - stitched_value always covers the flow still to
+// add.
 TEST(Sharded, MatchesDirectSolverAcrossGeneratorsAndShardCounts) {
   const auto nets = mixed_instances();
-  for (const std::string backend : {"dinic", "push_relabel"}) {
-    int cases = 0;
-    flow::SolveMetrics metrics;
-    for (const auto& net : nets) {
-      const double exact = flow::dinic(net).flow_value;
-      for (int k : {2, 4, 8}) {
-        core::ShardOptions opt;
-        opt.shards = k;
-        opt.region_solver = backend;
-        const core::ShardedSolver solver(opt);
-        core::ShardReport rep;
-        const flow::MaxFlowResult r =
-            solver.solve_csr(graph::CsrGraph::from_network(net), &rep);
-        const std::string label = backend + " n=" +
-                                  std::to_string(net.num_vertices()) +
-                                  " k=" + std::to_string(k);
-        EXPECT_NEAR(r.flow_value, exact, 1e-9 * std::max(1.0, exact)) << label;
-        EXPECT_GE(rep.upper_bound, r.flow_value - 1e-9) << label;
-        EXPECT_GE(r.flow_value, rep.stitched_value - 1e-9) << label;
-        EXPECT_GE(rep.stitched_value, 0.0) << label;
-        EXPECT_NEAR(rep.flow_value, rep.stitched_value + rep.refined_added,
-                    1e-9)
-            << label;
-        EXPECT_EQ(rep.regions, k) << label;
-        int covered = 0;
-        for (int c : rep.region_vertices) covered += c;
-        EXPECT_EQ(covered, net.num_vertices()) << label;
-        EXPECT_TRUE(flow::check_flow(net, r).empty()) << label;
-        metrics += r.metrics;
-        ++cases;
-      }
+  int cases = 0;
+  flow::SolveMetrics metrics;
+  for (const auto& net : nets) {
+    const double exact = flow::dinic(net).flow_value;
+    for (int k : {2, 4, 8}) {
+      core::ShardOptions opt;
+      opt.shards = k;
+      const core::ShardedSolver solver(opt);
+      core::ShardReport rep;
+      const flow::MaxFlowResult r =
+          solver.solve_csr(graph::CsrGraph::from_network(net), &rep);
+      const std::string label = "n=" + std::to_string(net.num_vertices()) +
+                                " k=" + std::to_string(k);
+      EXPECT_NEAR(r.flow_value, exact, 1e-9 * std::max(1.0, exact)) << label;
+      EXPECT_GE(rep.upper_bound, r.flow_value - 1e-9) << label;
+      EXPECT_GE(r.flow_value, rep.stitched_value - 1e-9) << label;
+      EXPECT_GE(rep.stitched_value, 0.0) << label;
+      EXPECT_NEAR(rep.flow_value, rep.stitched_value + rep.refined_added,
+                  1e-9)
+          << label;
+      EXPECT_EQ(rep.regions, k) << label;
+      int covered = 0;
+      for (int c : rep.region_vertices) covered += c;
+      EXPECT_EQ(covered, net.num_vertices()) << label;
+      EXPECT_TRUE(flow::check_flow(net, r).empty()) << label;
+      metrics += r.metrics;
+      ++cases;
     }
-    EXPECT_GE(cases, 50) << backend;
-    // The refinement's restart counters reach the sharded result.
-    EXPECT_GT(metrics.injected_excess_arcs, 0) << backend;
-    EXPECT_EQ(metrics.warm_escalations, 0) << backend;
   }
+  EXPECT_GE(cases, 50);
+  // The refinement's restart counters reach the sharded result.
+  EXPECT_GT(metrics.injected_excess_arcs, 0);
+  EXPECT_EQ(metrics.warm_escalations, 0);
 }
 
 // A stitch the repair cannot use is dropped, and refinement runs from the
 // zero flow with the whole upper bound as its budget.
 TEST(Sharded, DroppedStitchRefinesFromZeroExactly) {
-  const auto net = graph::rmat(12, 40, {}, 9);
+  const auto net = graph::uniform_random(11, 40, 32, 1);
   const double exact = flow::dinic(net).flow_value;
   ASSERT_GT(exact, 0.0);
-  for (const std::string backend : {"dinic", "push_relabel"}) {
-    core::ShardOptions opt;
-    opt.shards = 2;
-    opt.region_solver = backend;
-    core::ShardReport rep;
-    const flow::MaxFlowResult r = core::ShardedSolver(opt).solve_csr(
-        graph::CsrGraph::from_network(net), &rep);
-    ASSERT_TRUE(rep.stitch_dropped) << backend;
-    EXPECT_EQ(rep.stitched_value, 0.0) << backend;
-    EXPECT_NEAR(r.flow_value, exact, 1e-9) << backend;
-    EXPECT_NEAR(rep.refined_added, exact, 1e-9) << backend;
-    EXPECT_TRUE(flow::check_flow(net, r).empty()) << backend;
-    EXPECT_EQ(r.metrics.warm_escalations, 0) << backend;
+  core::ShardOptions opt;
+  opt.shards = 4;
+  core::ShardReport rep;
+  const flow::MaxFlowResult r = core::ShardedSolver(opt).solve_csr(
+      graph::CsrGraph::from_network(net), &rep);
+  ASSERT_TRUE(rep.stitch_dropped);
+  EXPECT_EQ(rep.stitched_value, 0.0);
+  EXPECT_NEAR(r.flow_value, exact, 1e-9);
+  EXPECT_NEAR(rep.refined_added, exact, 1e-9);
+  EXPECT_TRUE(flow::check_flow(net, r).empty());
+  EXPECT_EQ(r.metrics.warm_escalations, 0);
+}
+
+// Region slices leave out edges entering s and edges leaving t, so no
+// region can route flow through the source and hand the stitch a negative
+// source carry. This instance dropped its stitch when regions kept them.
+TEST(Sharded, EdgesIntoSourceOrOutOfSinkDoNotDropTheStitch) {
+  const auto net = graph::rmat(12, 40, {}, 9);
+  bool into_source = false, out_of_sink = false;
+  for (const auto& e : net.edges()) {
+    into_source |= e.to == net.source();
+    out_of_sink |= e.from == net.sink();
   }
+  ASSERT_TRUE(into_source || out_of_sink);
+  const double exact = flow::dinic(net).flow_value;
+  core::ShardOptions opt;
+  opt.shards = 2;
+  core::ShardReport rep;
+  const flow::MaxFlowResult r = core::ShardedSolver(opt).solve_csr(
+      graph::CsrGraph::from_network(net), &rep);
+  EXPECT_FALSE(rep.stitch_dropped);
+  EXPECT_GT(rep.stitched_value, 0.0);
+  EXPECT_NEAR(r.flow_value, exact, 1e-9);
+  EXPECT_TRUE(flow::check_flow(net, r).empty());
 }
 
 // Capacities near 1e9 with fractional parts leave rounding dust far above
@@ -151,37 +167,6 @@ TEST(Sharded, RegisteredWithShardedCapability) {
               1e-9);
 }
 
-TEST(Sharded, RejectsApproximateOrUnknownRegionSolvers) {
-  const auto net = graph::rmat(40, 160, {}, 2);
-  const graph::CsrGraph g = graph::CsrGraph::from_network(net);
-  for (const std::string bad : {"analog_dc", "analog_transient",
-                                "analog_dc_warm"}) {
-    core::ShardOptions opt;
-    opt.region_solver = bad;
-    EXPECT_THROW(core::ShardedSolver(opt).solve_csr(g), std::invalid_argument)
-        << bad;
-  }
-  core::ShardOptions unknown;
-  unknown.region_solver = "no_such_backend";
-  EXPECT_THROW(core::ShardedSolver(unknown).solve_csr(g),
-               std::invalid_argument);
-  EXPECT_THROW(core::ShardedSolver(core::ShardOptions{.shards = 0}),
-               std::invalid_argument);
-}
-
-TEST(Sharded, ExactRegionSolversAllWork) {
-  const auto net = graph::uniform_random(70, 320, 24, 5);
-  const double exact = flow::dinic(net).flow_value;
-  const graph::CsrGraph g = graph::CsrGraph::from_network(net);
-  for (const std::string name : {"dinic", "edmonds_karp", "push_relabel"}) {
-    core::ShardOptions opt;
-    opt.shards = 4;
-    opt.region_solver = name;
-    EXPECT_NEAR(core::ShardedSolver(opt).solve_csr(g).flow_value, exact, 1e-9)
-        << name;
-  }
-}
-
 TEST(Sharded, DeterministicAcrossRunsAndThreadCounts) {
   const auto net = graph::rmat(110, 520, {}, 7);
   const graph::CsrGraph g = graph::CsrGraph::from_network(net);
@@ -227,6 +212,9 @@ TEST(Sharded, DegenerateShardCountsFallBackToDirectSolve) {
   core::ShardOptions many;
   many.shards = 10 * net.num_vertices();
   EXPECT_NEAR(core::ShardedSolver(many).solve_csr(g).flow_value, exact, 1e-9);
+
+  EXPECT_THROW(core::ShardedSolver(core::ShardOptions{.shards = 0}),
+               std::invalid_argument);
 }
 
 TEST(Sharded, TinyAndDisconnectedInstances) {
@@ -273,29 +261,25 @@ TEST(Sharded, ServeSolveShardsMatchesDirectPath) {
     return std::stod(json.substr(at + 7));
   };
 
-  const std::string sharded =
-      engine.handle("solve --shards 4 --region-solver push_relabel");
+  const std::string sharded = engine.handle("solve --shards 4");
   ASSERT_NE(sharded.find("\"ok\":true"), std::string::npos) << sharded;
   EXPECT_NE(sharded.find("\"solver\":\"sharded\""), std::string::npos)
       << sharded;
   EXPECT_NE(sharded.find("\"shards\":{"), std::string::npos) << sharded;
   EXPECT_NE(sharded.find("\"upper_bound\":"), std::string::npos) << sharded;
   EXPECT_NEAR(flow_of(sharded), flow_of(direct), 1e-9);
-
-  // Without --region-solver the request uses the library default.
-  const std::string plain = engine.handle("solve --shards 4");
-  ASSERT_NE(plain.find("\"ok\":true"), std::string::npos) << plain;
-  EXPECT_NE(plain.find("\"region_solver\":\"" +
-                       core::ShardOptions{}.region_solver + "\""),
+  // Regions always run push-relabel; the v1 field reports it.
+  EXPECT_NE(sharded.find("\"region_solver\":\"push_relabel\""),
             std::string::npos)
-      << plain;
-  EXPECT_NEAR(flow_of(plain), flow_of(direct), 1e-9);
+      << sharded;
 
-  // A bad region backend surfaces as a clean ok:false, not a dead session.
-  const std::string bad =
+  // A stray --region-solver is ignored like any other unknown token.
+  const std::string stray =
       engine.handle("solve --shards 4 --region-solver analog_dc");
-  EXPECT_NE(bad.find("\"ok\":false"), std::string::npos) << bad;
-  EXPECT_NE(engine.handle("solve --solver dinic").find("\"ok\":true"),
-            std::string::npos);
+  ASSERT_NE(stray.find("\"ok\":true"), std::string::npos) << stray;
+  EXPECT_NE(stray.find("\"region_solver\":\"push_relabel\""),
+            std::string::npos)
+      << stray;
+  EXPECT_NEAR(flow_of(stray), flow_of(direct), 1e-9);
 }
 

@@ -2,8 +2,8 @@
 //
 //   aflow solvers
 //   aflow solve --solver dinic --input x.dimacs [--check] [--expect-flow V]
-//   aflow solve --shards K --input huge.dimacs [--region-solver NAME]
-//               [--threads N] [--seed S] [--check]
+//   aflow solve --shards K --input huge.dimacs [--threads N] [--seed S]
+//               [--check]
 //   aflow gen --spec "gridflow:height=1000,width=1000,cap=64,seed=3"
 //             --output huge.dimacs
 //   aflow bench --solver push_relabel --batch "grid:side=31,count=64,seed=1"
@@ -78,8 +78,8 @@ int usage() {
       "  aflow solvers\n"
       "  aflow solve --solver NAME --input FILE.dimacs [--check] "
       "[--expect-flow V]\n"
-      "  aflow solve --shards K --input FILE.dimacs [--region-solver NAME]\n"
-      "              [--threads N] [--seed S] [--check] [--expect-flow V]\n"
+      "  aflow solve --shards K --input FILE.dimacs [--threads N] [--seed S]\n"
+      "              [--check] [--expect-flow V]\n"
       "  aflow gen --spec GENSPEC --output FILE.dimacs\n"
       "  aflow bench --solver NAME --batch SPEC_OR_PATH [--threads N]\n"
       "              [--deterministic] [--check] [--per-instance] "
@@ -172,8 +172,6 @@ int cmd_solve_sharded(int argc, char** argv, const std::string& input,
                       int shards) {
   core::ShardOptions options;
   options.shards = shards;
-  options.region_solver =
-      arg_string(argc, argv, "--region-solver", options.region_solver);
   options.num_threads = arg_int(argc, argv, "--threads", 0);
   options.seed = static_cast<std::uint64_t>(arg_int(argc, argv, "--seed", 1));
 
@@ -184,8 +182,9 @@ int cmd_solve_sharded(int argc, char** argv, const std::string& input,
 
   std::printf("instance:  %s (%d vertices, %lld edges)\n", input.c_str(),
               g.num_vertices(), static_cast<long long>(g.num_edges()));
-  std::printf("solver:    sharded (%d regions, region solver %s, %d threads)\n",
-              rep.regions, options.region_solver.c_str(), rep.threads_used);
+  std::printf("solver:    sharded (%d regions, region solver push_relabel, "
+              "%d threads)\n",
+              rep.regions, rep.threads_used);
   std::printf("cut arcs:  %lld (capacity %.10g)\n",
               static_cast<long long>(rep.cut_arcs), rep.cut_capacity);
   std::printf("bound:     %.10g (pre-refinement upper bound)\n",
