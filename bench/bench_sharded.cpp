@@ -24,9 +24,10 @@
 //       small enough that even their *sequential* sum undercuts the direct
 //       solve, and the stage divides across the region workers. The
 //       end-to-end speedup against the *faster* of the two direct backends
-//       (push-relabel on grid families) is reported but not gated — the
-//       sequential stitch-repair tail dominates the sharded solve (see
-//       DESIGN.md "Sharded solve"),
+//       (push-relabel on grid families) is reported but not gated: with
+//       the phase stitch repair it sits near parity on one host and varies
+//       with the thread count and the host (see DESIGN.md "Sharded
+//       solve"),
 //   (d) peak RSS of the sharded pipeline <= --rss-budget-mb (default 384,
 //       fitting the measured ~262 MB for the 1M-node grid with headroom —
 //       while the direct pipeline's FlowNetwork + residual measure ~397 MB,
@@ -39,7 +40,7 @@
 //
 //   bench_sharded [--height 1000] [--width 1000] [--cap 64] [--seed 7]
 //                 [--shards 8] [--threads 0]
-//                 [--min-speedup 2.0] [--rss-budget-mb 2048]
+//                 [--min-speedup 2.0] [--rss-budget-mb 384]
 //                 [--dimacs FILE] [--smoke] [--json FILE]
 //
 // --smoke shrinks the grid and drops the wall-clock and RSS gates (CI

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <deque>
+#include <latch>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -198,6 +199,10 @@ class FrontRuntime {
 
   void loop_main(size_t index);
   void worker_main();
+  /// Releases the loops; run() calls it once every loop and worker thread
+  /// exists, so no request is read (and no thread count observed by a
+  /// client) while threads are still being spawned.
+  void all_spawned() { spawned_.count_down(); }
 
  private:
   void accept_all(size_t my_index, int lfd, bool tcp);
@@ -220,6 +225,7 @@ class FrontRuntime {
   FrontTelemetry& telemetry_;
   ServeFront::Impl& impl_;
   const std::string oversized_error_;
+  std::latch spawned_{1};
 };
 
 void FrontRuntime::worker_main() {
@@ -243,6 +249,7 @@ void FrontRuntime::worker_main() {
 }
 
 void FrontRuntime::loop_main(size_t index) {
+  spawned_.wait();
   IoLoop& loop = *impl_.loops[index];
   const bool acceptor = index == 0;
   util::Poller poller;
@@ -616,6 +623,7 @@ void ServeFront::run() {
         std::thread([&runtime, i] { runtime.loop_main(i); });
   for (int i = 0; i < impl_->worker_count; ++i)
     impl_->workers.emplace_back([&runtime] { runtime.worker_main(); });
+  runtime.all_spawned();
 
   // Coordinator: wait for stop() or a session's `shutdown` request. The
   // poll interval bounds shutdown-detection staleness, same as the loops.

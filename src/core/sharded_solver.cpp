@@ -310,8 +310,8 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::CsrGraph& g,
   // A cut arc carries the smaller of its two regions' votes: never above
   // capacity, and never more than either endpoint region routed. The
   // resulting pseudo-flow is capacity-feasible but violates conservation at
-  // boundary vertices wherever the votes were clipped — exactly the
-  // imbalance shape the shared repair machinery drains.
+  // boundary vertices wherever the votes were clipped, which the phase
+  // repair drains (flow/residual.hpp repair_stitch).
   const auto stitch_t0 = Clock::now();
   for (size_t slot = 0; slot < part.cut_arcs.size(); ++slot)
     flow[static_cast<size_t>(part.cut_arcs[slot])] =
@@ -321,16 +321,16 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::CsrGraph& g,
 
   flow::detail::Residual r(n, edges, flow);
   flow = std::vector<double>();
-  rep.stitched_value =
-      flow::detail::repair_conservation(r, s, t, rep.repair_operations, cancel)
-          ? r.flow_value_at(edges, s)
-          : -1.0;
+  // Chaos battery: "shard.stitch:diverge" forges a failed repair.
+  const bool repaired =
+      !util::FaultInjector::instance().take(
+          "shard.stitch", util::FaultInjector::Action::kDiverge) &&
+      flow::detail::repair_stitch(r, s, t, rep.repair_operations, cancel);
+  rep.stitched_value = repaired ? r.flow_value_at(edges, s) : -1.0;
   if (rep.stitched_value < 0.0) {
-    // Degenerate stitch: repair failed, or the region solutions routed more
-    // flow into the source than out of it (paths traversing s inside its
-    // own region), leaving a worse-than-empty carry. Drop it entirely —
-    // exactness is untouched, refinement just starts from zero flow (a
-    // direct solve).
+    // Degenerate stitch: the repair failed (a numerically degenerate
+    // carry). Drop it entirely — exactness is untouched, refinement just
+    // starts from zero flow (a direct solve).
     r = flow::detail::Residual(n, edges);
     rep.stitched_value = 0.0;
     rep.stitch_dropped = true;

@@ -140,9 +140,9 @@ MaxFlowResult solve_delta_impl(const graph::FlowNetwork& net,
           r, net.source(), net.sink(), cancel, &result.metrics);
     }
   } else {
-    // The shared conservation repair (flow/residual.hpp) drains the
-    // carry's imbalances; a false return means a numerically degenerate
-    // prior.
+    // The nearest-target conservation repair (flow/residual.hpp) drains
+    // the carry's imbalances; a false return means a numerically
+    // degenerate prior.
     if (!detail::repair_conservation(r, net.source(), net.sink(),
                                      result.operations, cancel))
       return scratch(/*fallback=*/true);

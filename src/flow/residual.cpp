@@ -70,10 +70,10 @@ namespace {
 constexpr double kImbalanceEps = 1e-9;
 constexpr double kImbalanceRelEps = 1e-11;
 
-double capacity_scale(const Residual& r) {
+double repair_eps(const Residual& r) {
   double scale = 1.0;
   for (const double c : r.cap) scale = std::max(scale, c);
-  return scale;
+  return std::max(kImbalanceEps, kImbalanceRelEps * scale);
 }
 
 /// Shortest-path repair pusher over a carried residual. Both directions
@@ -83,9 +83,8 @@ double capacity_scale(const Residual& r) {
 class ConservationRepair {
  public:
   ConservationRepair(Residual& r, int s, int t, ArcTouchLog* touched)
-      : r_(r), s_(s), t_(t),
-        eps_(std::max(kImbalanceEps, kImbalanceRelEps * capacity_scale(r))),
-        im_(r.imbalances()), parent_arc_(r.n, -1), seen_(r.n, 0),
+      : r_(r), s_(s), t_(t), eps_(repair_eps(r)), im_(r.imbalances()),
+        parent_arc_(r.n, -1), seen_(r.n, 0),
         touched_(touched) {
     if (touched_) arc_logged_.assign(r.cap.size(), 0);
   }
@@ -227,7 +226,145 @@ class ConservationRepair {
   int stamp_ = 0;
 };
 
+/// Phase repair of a sharded stitch: the excesses drain into {s, t, open
+/// deficits} as one multiple-source multiple-sink flow problem, Dinic
+/// style. A phase is one BFS from the targets over the residual, stopped
+/// once every pending vertex has a label, then blocking pushes from each
+/// pending vertex along level-decreasing arcs with per-vertex cursors. A
+/// phase leaves no level-decreasing path from a pending vertex to an open
+/// target, and its pushes only open level-increasing arcs, so a vertex that
+/// stays pending has a strictly higher label next phase: at most n phases,
+/// each O(m) plus its path pushes. Then the deficits fill from {s, t} the
+/// same way, walking the residual backwards. Forward arcs of edges entering
+/// s or leaving t are closed: draining into s over an edge that enters it
+/// could leave a negative source carry, and the stitch carries no flow on
+/// those edges, so the decomposition argument of ConservationRepair needs
+/// none of them.
+class StitchRepair {
+ public:
+  StitchRepair(Residual& r, int s, int t)
+      : r_(r), s_(s), t_(t), eps_(repair_eps(r)), im_(r.imbalances()),
+        level_(r.n), cursor_(r.n) {}
+
+  bool run(long long& ops, const util::CancelToken& cancel) {
+    return phases(/*fill=*/false, ops, cancel) &&
+           phases(/*fill=*/true, ops, cancel);
+  }
+
+ private:
+  /// Residual arc `a` can carry repair flow: above the dust threshold (see
+  /// ConservationRepair::drain_excess) and not a closed terminal arc.
+  bool usable(int a) const {
+    return r_.cap[a] > eps_ &&
+           ((a & 1) || (r_.head[a] != s_ && r_.head[a ^ 1] != t_));
+  }
+
+  /// The residual arc a walk along incidence arc `w` pushes flow over:
+  /// draining walks with the flow, filling walks against it.
+  int flow_arc(int w) const { return fill_ ? r_.rev(w) : w; }
+
+  /// Imbalance still to move at `v` (excess when draining, deficit when
+  /// filling).
+  double pending(int v) const { return fill_ ? -im_[v] : im_[v]; }
+
+  bool is_target(int x) const {
+    return x == s_ || x == t_ || (!fill_ && im_[x] < -eps_);
+  }
+
+  bool phases(bool fill, long long& ops, const util::CancelToken& cancel) {
+    fill_ = fill;
+    std::vector<int> sources;
+    for (int v = 0; v < r_.n; ++v)
+      if (v != s_ && v != t_ && pending(v) > eps_) sources.push_back(v);
+    while (!sources.empty()) {
+      cancel.check();
+      if (!label(sources)) return false;
+      std::fill(cursor_.begin(), cursor_.end(), 0);
+      for (const int v : sources)
+        while (pending(v) > eps_ && push_path(v)) ops++;
+      std::erase_if(sources, [&](int v) { return pending(v) <= eps_; });
+    }
+    return true;
+  }
+
+  /// BFS from the targets against the walk direction; false when a source
+  /// cannot reach any target.
+  bool label(std::span<const int> sources) {
+    std::fill(level_.begin(), level_.end(), -1);
+    queue_.clear();
+    for (int v = 0; v < r_.n; ++v)
+      if (is_target(v)) {
+        level_[v] = 0;
+        queue_.push_back(v);
+      }
+    size_t unlabelled = sources.size();
+    for (size_t qi = 0; qi < queue_.size() && unlabelled > 0; ++qi) {
+      const int x = queue_[qi];
+      for (const int a : r_.arcs(x)) {
+        const int u = r_.head[a];
+        if (level_[u] >= 0 || !usable(flow_arc(r_.rev(a)))) continue;
+        level_[u] = level_[x] + 1;
+        queue_.push_back(u);
+        if (pending(u) > eps_) --unlabelled;
+      }
+    }
+    return unlabelled == 0;
+  }
+
+  /// Walks from `v` down the levels to a target, retiring dead ends, and
+  /// pushes the bottleneck (capped by both imbalances) along the path.
+  bool push_path(int v) {
+    path_.clear();
+    int x = v;
+    while (!is_target(x)) {
+      // A filled deficit keeps level 0 but leads nowhere.
+      if (level_[x] > 0) {
+        const std::span<const int> arcs = r_.arcs(x);
+        int& i = cursor_[x];
+        while (i < static_cast<int>(arcs.size()) &&
+               (level_[r_.head[arcs[i]]] != level_[x] - 1 ||
+                !usable(flow_arc(arcs[i]))))
+          ++i;
+        if (i < static_cast<int>(arcs.size())) {
+          path_.push_back(arcs[i]);
+          x = r_.head[arcs[i]];
+          continue;
+        }
+      }
+      level_[x] = -1; // dead end for the rest of the phase
+      if (path_.empty()) return false;
+      x = r_.head[r_.rev(path_.back())];
+      path_.pop_back();
+    }
+    double amount = pending(v);
+    if (x != s_ && x != t_) amount = std::min(amount, -im_[x]);
+    for (const int w : path_) amount = std::min(amount, r_.cap[flow_arc(w)]);
+    for (const int w : path_) {
+      r_.cap[flow_arc(w)] -= amount;
+      r_.cap[r_.rev(flow_arc(w))] += amount;
+    }
+    im_[v] += fill_ ? amount : -amount;
+    if (x != s_ && x != t_) im_[x] += amount;
+    return true;
+  }
+
+  Residual& r_;
+  int s_, t_;
+  double eps_;
+  bool fill_ = false;
+  std::vector<double> im_;
+  std::vector<int> level_;  // BFS distance to a target; -1 unlabelled/dead
+  std::vector<int> cursor_; // per-vertex next incidence arc to try
+  std::vector<int> queue_;
+  std::vector<int> path_; // incidence arcs walked from the source
+};
+
 } // namespace
+
+bool repair_stitch(Residual& r, int s, int t, long long& ops,
+                   const util::CancelToken& cancel) {
+  return StitchRepair(r, s, t).run(ops, cancel);
+}
 
 bool repair_conservation(Residual& r, int s, int t, long long& ops,
                          const util::CancelToken& cancel) {

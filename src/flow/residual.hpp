@@ -66,15 +66,14 @@ struct Residual {
 /// pseudo-flow (DESIGN.md "Incremental re-solve: the delta path"). Counts
 /// one op per push into `ops`; returns false when no progress is possible
 /// (numerically degenerate carry), in which case the caller should discard
-/// the carry and solve from scratch. Shared by the delta re-solve path and
-/// the sharded-solve boundary stitch (core/sharded_solver.hpp), whose
-/// min-matched cut-arc flows violate conservation exactly at region
-/// boundaries.
-/// All three entry points below take an optional util::CancelToken and
-/// check it at their natural phase boundaries (one repair push, one Dinic
-/// BFS phase, every ~1k push-relabel queue pops); a tripped token unwinds
-/// with util::CancelledError. The default token never cancels and costs one
-/// null test per check.
+/// the carry and solve from scratch. Each push is its own nearest-target
+/// search, which suits the delta re-solve path: an edit leaves a handful of
+/// imbalances next to their targets.
+/// The entry points below take an optional util::CancelToken and check it
+/// at their natural phase boundaries (one repair push or stitch phase, one
+/// Dinic BFS phase, every ~1k push-relabel queue pops); a tripped token
+/// unwinds with util::CancelledError. The default token never cancels and
+/// costs one null test per check.
 bool repair_conservation(Residual& r, int s, int t, long long& ops,
                          const util::CancelToken& cancel = {});
 
@@ -90,6 +89,17 @@ using ArcTouchLog = std::vector<std::pair<int, double>>;
 bool repair_conservation(Residual& r, int s, int t, long long& ops,
                          ArcTouchLog& touched,
                          const util::CancelToken& cancel = {});
+
+/// The sharded-solve boundary stitch's repair (core/sharded_solver.hpp),
+/// whose min-matched cut-arc flows leave hundreds of imbalances along the
+/// region boundaries, far from their targets. Same contract as
+/// repair_conservation (one op per push, false on a degenerate carry), but
+/// the pushes run in phases: one BFS from the targets per phase, then
+/// blocking pushes down its levels (DESIGN.md "Sharded solve"). It adds no
+/// flow to edges entering s or leaving t, so a carry without flow on them
+/// repairs to a value that is never negative.
+bool repair_stitch(Residual& r, int s, int t, long long& ops,
+                   const util::CancelToken& cancel = {});
 
 /// Augments the (feasible-flow) residual `r` to a maximum flow with Dinic
 /// blocking flows; returns the flow value added and counts augmenting paths

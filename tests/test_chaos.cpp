@@ -26,6 +26,8 @@
 #include "util/cancel.hpp"
 #include "util/fault_injector.hpp"
 
+#include "fault_guard.hpp"
+
 namespace core = aflow::core;
 namespace flow = aflow::flow;
 namespace graph = aflow::graph;
@@ -39,14 +41,9 @@ double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
-/// Every test arms its own schedule; this guard guarantees the process-wide
-/// injector is disarmed again even when an assertion fails mid-test.
-struct FaultGuard {
-  explicit FaultGuard(const std::string& spec) {
-    util::FaultInjector::instance().arm(spec);
-  }
-  ~FaultGuard() { util::FaultInjector::instance().disarm(); }
-};
+// Every test arms its own schedule through a FaultGuard, which disarms the
+// process-wide injector again even when an assertion fails mid-test.
+using fault_test::FaultGuard;
 
 bool contains(const std::string& s, const std::string& needle) {
   return s.find(needle) != std::string::npos;

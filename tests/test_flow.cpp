@@ -2,6 +2,12 @@
 // and max-flow = min-cut duality.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "flow/maxflow.hpp"
 #include "flow/residual.hpp"
 #include "graph/generators.hpp"
@@ -200,6 +206,75 @@ TEST(Residual, EdgeFlowReadersAgreeOnIntegralCapacities) {
         if (net.edge(e).to == net.source()) value -= flows[e];
       }
       EXPECT_EQ(r.flow_value_at(net.edges(), net.source()), value);
+    }
+  }
+}
+
+namespace {
+
+/// A max flow of `net` with every edge flow moved by up to half its
+/// capacity, as a prior the Residual clamps into a capacity-feasible
+/// pseudo-flow that violates conservation nearly everywhere.
+std::vector<double> perturbed_max_flow(const graph::FlowNetwork& net,
+                                       std::uint64_t seed) {
+  std::vector<double> f = flow::dinic(net).edge_flow;
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> shift(-0.5, 0.5);
+  for (int e = 0; e < net.num_edges(); ++e)
+    f[static_cast<size_t>(e)] += shift(rng) * net.edge(e).capacity;
+  return f;
+}
+
+} // namespace
+
+// The sharded stitch's phase repair and the delta path's nearest-target
+// repair take the same carries to feasible flows: both succeed, both leave
+// every ordinary vertex within the repair threshold, and a push-relabel
+// augment from either reaches the exact max flow.
+TEST(Residual, StitchRepairAndNearestTargetRepairAgree) {
+  std::vector<graph::FlowNetwork> nets;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    nets.push_back(graph::gridflow(20, 20, 16, seed));
+    nets.push_back(graph::rmat(90, 420, {}, seed));
+    nets.push_back(graph::uniform_random(80, 400, 32, seed));
+  }
+  {
+    // 1e9-scale capacities with fractional parts (as in test_sharded's
+    // ExactAtLargeCapacityScale): the threshold follows the scale.
+    const auto base = graph::gridflow(12, 10, 16, 1);
+    graph::FlowNetwork big(base.num_vertices(), base.source(), base.sink());
+    for (const auto& e : base.edges())
+      big.add_edge(e.from, e.to, e.capacity * 1.000000007e9 + 0.37);
+    nets.push_back(big);
+  }
+  for (size_t i = 0; i < nets.size(); ++i) {
+    const graph::FlowNetwork& net = nets[i];
+    const double exact = flow::push_relabel(net).flow_value;
+    const std::vector<double> prior = perturbed_max_flow(net, i + 1);
+    for (const bool stitch : {false, true}) {
+      const std::string label =
+          "net " + std::to_string(i) + (stitch ? " stitch" : " nearest");
+      flow::detail::Residual r(net.num_vertices(), net.edges(), prior);
+      double scale = 1.0;
+      for (const double c : r.cap) scale = std::max(scale, c);
+      const double eps = std::max(1e-9, 1e-11 * scale);
+      long long ops = 0;
+      const bool ok = stitch ? flow::detail::repair_stitch(
+                                   r, net.source(), net.sink(), ops)
+                             : flow::detail::repair_conservation(
+                                   r, net.source(), net.sink(), ops);
+      ASSERT_TRUE(ok) << label;
+      EXPECT_GT(ops, 0) << label;
+      const std::vector<double> im = r.imbalances();
+      for (int v = 0; v < net.num_vertices(); ++v) {
+        if (v == net.source() || v == net.sink()) continue;
+        EXPECT_LE(std::abs(im[static_cast<size_t>(v)]), eps)
+            << label << " v=" << v;
+      }
+      flow::detail::push_relabel_augment(r, net.source(), net.sink());
+      EXPECT_NEAR(r.flow_value_at(net.edges(), net.source()), exact,
+                  1e-9 * std::max(1.0, exact))
+          << label;
     }
   }
 }

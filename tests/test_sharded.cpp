@@ -17,10 +17,14 @@
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "graph/network.hpp"
+#include "util/fault_injector.hpp"
+
+#include "fault_guard.hpp"
 
 namespace core = aflow::core;
 namespace flow = aflow::flow;
 namespace graph = aflow::graph;
+namespace util = aflow::util;
 
 namespace {
 
@@ -79,8 +83,50 @@ TEST(Sharded, MatchesDirectSolverAcrossGeneratorsAndShardCounts) {
   EXPECT_EQ(metrics.warm_escalations, 0);
 }
 
+// The stitch census: seven families, k in {2, 3, 4, 8}, seeds 1-15. Every
+// stitch must survive its repair and refine to the exact value. The stitch
+// repair must keep edges entering s and leaving t closed: a repair that
+// drains excess into s over an edge entering it leaves a negative source
+// carry, and three of these stitches (uniform(11,40,32) seed 1 k=4,
+// uniform(80,400,32) seed 12 k=4/8) drop.
+TEST(Sharded, StitchCensusDropsNothingAndIsExact) {
+  int cases = 0;
+  for (std::uint64_t seed = 1; seed <= 15; ++seed) {
+    const graph::FlowNetwork nets[] = {
+        graph::gridflow(11, 9, 16, seed),
+        graph::layered_random(5, 14, 4, 24, seed),
+        graph::rmat(12, 40, {}, seed),
+        graph::uniform_random(11, 40, 32, seed),
+        graph::rmat(90, 420, {}, seed),
+        graph::uniform_random(80, 400, 32, seed),
+        graph::gridflow(31, 31, 16, seed),
+    };
+    for (const auto& net : nets) {
+      const double exact = flow::dinic(net).flow_value;
+      const graph::CsrGraph g = graph::CsrGraph::from_network(net);
+      for (int k : {2, 3, 4, 8}) {
+        core::ShardOptions opt;
+        opt.shards = k;
+        core::ShardReport rep;
+        const flow::MaxFlowResult r =
+            core::ShardedSolver(opt).solve_csr(g, &rep);
+        const std::string label = "n=" + std::to_string(net.num_vertices()) +
+                                  " seed=" + std::to_string(seed) +
+                                  " k=" + std::to_string(k);
+        EXPECT_FALSE(rep.stitch_dropped) << label;
+        EXPECT_EQ(r.flow_value, exact) << label;
+        EXPECT_TRUE(flow::check_flow(net, r).empty()) << label;
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 420);
+}
+
 // A stitch the repair cannot use is dropped, and refinement runs from the
-// zero flow with the whole upper bound as its budget.
+// zero flow with the whole upper bound as its budget. No known input
+// drops its stitch, so the "shard.stitch" fault site forges the failed
+// repair.
 TEST(Sharded, DroppedStitchRefinesFromZeroExactly) {
   const auto net = graph::uniform_random(11, 40, 32, 1);
   const double exact = flow::dinic(net).flow_value;
@@ -88,8 +134,10 @@ TEST(Sharded, DroppedStitchRefinesFromZeroExactly) {
   core::ShardOptions opt;
   opt.shards = 4;
   core::ShardReport rep;
+  const fault_test::FaultGuard guard("shard.stitch:diverge");
   const flow::MaxFlowResult r = core::ShardedSolver(opt).solve_csr(
       graph::CsrGraph::from_network(net), &rep);
+  EXPECT_EQ(util::FaultInjector::instance().fired("shard.stitch"), 1);
   ASSERT_TRUE(rep.stitch_dropped);
   EXPECT_EQ(rep.stitched_value, 0.0);
   EXPECT_NEAR(r.flow_value, exact, 1e-9);
